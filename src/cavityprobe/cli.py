@@ -19,16 +19,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import TruncationMode, fock_state, maximally_mixed
+from .fock import InvalidStateError, TruncationMode, fock_state, maximally_mixed
 from .instrument import (
     DivergenceError,
     ModelParams,
     PositivityError,
     Preparation,
+    _n_steps,
     integrate_instrument,
 )
 from .metrics import MetricsRecord, metrics_series
-from .oracle import secular_residual
+from .oracle import dt_limit, secular_residual
 
 __all__ = [
     "ConfigError",
@@ -108,6 +109,19 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _check_time_grid(t_max, dt, stride) -> None:
+    """Reject a horizon, step or stride the integrators cannot honour exactly."""
+    for key, value in (("t_max", t_max), ("dt", dt)):
+        _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+                 and value > 0 and math.isfinite(value),
+                 f"{key} must be a positive finite number, got {value!r}")
+    try:
+        _n_steps(t_max, dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    _require(isinstance(stride, int) and stride >= 1, f"stride must be a positive integer, got {stride!r}")
+
+
 def parse_config(document: str) -> RunConfig:
     """Parse and validate a flat JSON config document."""
     try:
@@ -153,11 +167,7 @@ def parse_config(document: str) -> RunConfig:
     t_max = raw["t_max"]
     dt = raw.get("dt", 0.01)
     stride = raw.get("stride", 10)
-    for key, value in (("t_max", t_max), ("dt", dt)):
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0,
-                 f"{key} must be a positive number, got {value!r}")
-    _require(t_max >= dt, f"t_max={t_max} must be at least dt={dt}")
-    _require(isinstance(stride, int) and stride >= 1, f"stride must be a positive integer, got {stride!r}")
+    _check_time_grid(t_max, dt, stride)
 
     truncation_raw = raw.get("truncation", "algebraic_closure")
     try:
@@ -244,8 +254,7 @@ def run(config: RunConfig, emit_oracle_report: bool = False, out=None) -> str:
     if config.svg_out:
         _write_text(config.svg_out, plot(text, ["P_g", "I_g", "F_g"]))
     if emit_oracle_report:
-        limit = 0.01 / max(abs(params.delta), params.omega, params.gamma_big, 1.0)
-        refine = max(1, math.ceil(config.dt / limit - 1e-12))
+        refine = max(1, math.ceil(config.dt / dt_limit(params) - 1e-12))
         residual = secular_residual(
             params, config.d, config.prep, config.t_max, config.dt / refine,
             stride=config.stride * refine, mode=config.truncation,
@@ -309,7 +318,7 @@ def sweep(configs: list[RunConfig], manifest_path: str | Path) -> dict:
         try:
             run(config)
             entries.append(entry)
-        except Exception as exc:  # collected, reported together below
+        except (DivergenceError, PositivityError, InvalidStateError, ConfigError, OSError) as exc:
             failures.append(f"{config.csv_out}: {exc}")
     manifest = {"runs": entries, "failures": failures}
     _write_text(str(manifest_path), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -416,6 +425,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _check_time_grid(args.t_max, args.dt, args.stride)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     presets = ("strong", "weak") if args.preset == "both" else (args.preset,)
@@ -469,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, PositivityError, SweepError) as exc:
+    except (DivergenceError, PositivityError, InvalidStateError, SweepError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

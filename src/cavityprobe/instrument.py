@@ -26,9 +26,7 @@ from .superop import (
     identity_superop,
     su11_generators,
     superop_dim,
-    unvec,
     vec,
-    zero_superop,
 )
 
 __all__ = [
@@ -165,15 +163,14 @@ def build_block_generator(
     return g_gg, g_ge, g_eg, g_ee
 
 
-def _combined_generator(p: ModelParams, d: int, mode: TruncationMode) -> np.ndarray:
-    g_gg, g_ge, g_eg, g_ee = build_block_generator(p, d, mode)
-    return np.block([[g_gg, g_ge], [g_eg, g_ee]])
-
-
 def _n_steps(t_max: float, dt: float) -> int:
+    """Number of RK4 steps of size dt that reach t_max exactly."""
     if not (dt > 0 and t_max > 0 and dt <= t_max):
         raise ValueError(f"need 0 < dt <= t_max, got dt={dt}, t_max={t_max}")
-    return int(round(t_max / dt))
+    n_steps = int(round(t_max / dt))
+    if abs(n_steps * dt - t_max) > 1e-9 * t_max:
+        raise ValueError(f"t_max={t_max} is not a whole number of dt={dt} steps; make t_max a multiple of dt")
+    return n_steps
 
 
 def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, n_steps: int, dt: float, stride: int):
@@ -200,6 +197,29 @@ def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, n_steps: int, dt: float
     return np.array(times), np.stack(samples)
 
 
+def _propagate_blocks(
+    p: ModelParams,
+    d: int,
+    prep: Preparation,
+    field0: np.ndarray,
+    t_max: float,
+    dt: float,
+    mode: TruncationMode,
+    stride: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """RK4 of the block system with field0 (d^2 rows) on the prepared branch.
+
+    Returns (times, g samples, e samples); each sample has field0's shape.
+    """
+    n_steps = _n_steps(t_max, dt)
+    g_gg, g_ge, g_eg, g_ee = build_block_generator(p, d, mode)
+    matrix = np.block([[g_gg, g_ge], [g_eg, g_ee]])
+    zero = np.zeros_like(field0)
+    pair = (field0, zero) if prep is Preparation.GROUND else (zero, field0)
+    times, samples = _rk4_sampled(matrix, np.concatenate(pair), n_steps, dt, stride)
+    return times, samples[:, : d * d], samples[:, d * d :]
+
+
 def integrate_instrument(
     p: ModelParams,
     d: int,
@@ -211,17 +231,11 @@ def integrate_instrument(
 ) -> InstrumentBranch:
     """Integrate the outcome maps from the identity/zero initial pair.
 
-    Classical fixed-step RK4; deterministic for fixed inputs.  t_max is
-    rounded to a whole number of steps of size dt.
+    Classical fixed-step RK4; deterministic for fixed inputs.  t_max must be
+    a whole number of steps of size dt.
     """
-    n_steps = _n_steps(t_max, dt)
-    matrix = _combined_generator(p, d, mode)
-    if prep is Preparation.GROUND:
-        state0 = np.vstack([identity_superop(d), zero_superop(d)])
-    else:
-        state0 = np.vstack([zero_superop(d), identity_superop(d)])
-    times, samples = _rk4_sampled(matrix, state0, n_steps, dt, stride)
-    return InstrumentBranch(prep=prep, times=times, m_g=samples[:, : d * d], m_e=samples[:, d * d :])
+    times, m_g, m_e = _propagate_blocks(p, d, prep, identity_superop(d), t_max, dt, mode, stride)
+    return InstrumentBranch(prep=prep, times=times, m_g=m_g, m_e=m_e)
 
 
 def conditional_trajectories(
@@ -243,16 +257,8 @@ def conditional_trajectories(
     rho_f = np.asarray(rho_f, dtype=complex)
     if rho_f.shape != (d, d):
         raise ValueError(f"initial state shape {rho_f.shape} does not match d={d}")
-    n_steps = _n_steps(t_max, dt)
-    matrix = _combined_generator(p, d, mode)
-    if prep is Preparation.GROUND:
-        state0 = np.concatenate([vec(rho_f), np.zeros(d * d, dtype=complex)])
-    else:
-        state0 = np.concatenate([np.zeros(d * d, dtype=complex), vec(rho_f)])
-    times, samples = _rk4_sampled(matrix, state0, n_steps, dt, stride)
-    y_g = samples[:, : d * d].reshape(-1, d, d).transpose(0, 2, 1)
-    y_e = samples[:, d * d :].reshape(-1, d, d).transpose(0, 2, 1)
-    return times, y_g, y_e
+    times, v_g, v_e = _propagate_blocks(p, d, prep, vec(rho_f), t_max, dt, mode, stride)
+    return times, v_g.reshape(-1, d, d).transpose(0, 2, 1), v_e.reshape(-1, d, d).transpose(0, 2, 1)
 
 
 def conditional_state(

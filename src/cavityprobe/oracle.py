@@ -1,11 +1,19 @@
 """Full joint atom-field Lindblad solver used to validate the reduced maps.
 
 No elimination of the atomic coherences here: the joint density matrix on
-pointer (x) field evolves under the explicitly time-dependent exchange
-Hamiltonian plus the atomic dissipator, and the outcome maps are recovered
-by projecting the pointer after the fact.  Agreement with the block-system
-integration improves as gamma_big / omega grows; the residual between the
-two is the quantitative check.
+pointer (x) field evolves under the exchange Hamiltonian plus the atomic
+dissipator, and the outcome maps are recovered by projecting the pointer
+after the fact.  Agreement with the block-system integration improves as
+gamma_big / omega grows; the residual between the two is the quantitative
+check.
+
+The lab-frame Hamiltonian depends on time through e^{+-i delta t}.  In the
+frame V = exp(-i delta t |e><e|) it does not: the generator is the constant
+joint_liouvillian(p, d, 0) - i delta [|e><e|, .], which the same fixed-step
+RK4 loop as the reduced model integrates.  The frame only rotates the
+atomic coherences, so the gg and ee blocks (and with them the outcome maps)
+are unchanged; going back to the lab frame multiplies the eg block by
+e^{+i delta t} and the ge block by e^{-i delta t}.
 
 The atomic dissipator carries the two population channels at gamma_ge and
 gamma_eg plus a pure dephasing channel sized so the total coherence decay
@@ -19,11 +27,20 @@ from __future__ import annotations
 import numpy as np
 
 from .fock import TruncationMode, annihilation_op
-from .instrument import DivergenceError, InstrumentBranch, ModelParams, Preparation, integrate_instrument
-from .superop import sandwich_superop
+from .instrument import (
+    DivergenceError,
+    InstrumentBranch,
+    ModelParams,
+    Preparation,
+    _n_steps,
+    _rk4_sampled,
+    integrate_instrument,
+)
+from .superop import sandwich_superop, vec
 
 __all__ = [
     "pure_dephasing_rate",
+    "dt_limit",
     "joint_hamiltonian",
     "joint_liouvillian",
     "evolve_joint",
@@ -76,58 +93,29 @@ def joint_liouvillian(p: ModelParams, d: int, t: float) -> np.ndarray:
     return lv
 
 
-def _rhs_factory(p: ModelParams, d: int):
-    """Right-hand side acting directly on (stacked) 2d x 2d matrices."""
-    a = annihilation_op(d)
-    coupling = p.omega * np.kron(_SIGMA_PLUS, a)
-    coupling_dag = coupling.conj().T
-    jumps = [(op, op.conj().T, op.conj().T @ op, rate) for op, rate in _jump_ops(p, d)]
-
-    def rhs(t: float, rho: np.ndarray) -> np.ndarray:
-        h = coupling * np.exp(1j * p.delta * t) + coupling_dag * np.exp(-1j * p.delta * t)
-        out = -1j * (h @ rho - rho @ h)
-        for op, opd, opd_op, rate in jumps:
-            out += rate * (op @ rho @ opd - 0.5 * (opd_op @ rho + rho @ opd_op))
-        return out
-
-    return rhs
-
-
-def _dt_limit(p: ModelParams) -> float:
+def dt_limit(p: ModelParams) -> float:
+    """Largest step the joint solver accepts for these rates."""
     return 0.01 / max(abs(p.delta), p.omega, p.gamma_big, 1.0)
 
 
-def _evolve_stack(p: ModelParams, d: int, rho0: np.ndarray, t_max: float, dt: float, stride: int):
-    """RK4 on a stack (..., 2d, 2d) of joint matrices, Liouvillian at substep times."""
-    limit = _dt_limit(p)
+def _evolve_frame(p: ModelParams, d: int, columns: np.ndarray, t_max: float, dt: float, stride: int):
+    """RK4 of vec(joint state) columns under the constant atom-frame generator."""
+    limit = dt_limit(p)
     if dt > limit * (1 + 1e-12):
         raise ValueError(f"dt={dt} too coarse for these rates; need dt <= {limit:.6g}")
-    if not (dt > 0 and t_max > 0 and dt <= t_max):
-        raise ValueError(f"need 0 < dt <= t_max, got dt={dt}, t_max={t_max}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    rhs = _rhs_factory(p, d)
-    n_steps = int(round(t_max / dt))
-    state = np.asarray(rho0, dtype=complex)
-    tr0 = np.trace(state, axis1=-2, axis2=-1)
-    times = [0.0]
-    samples = [state.copy()]
-    for k in range(1, n_steps + 1):
-        t = (k - 1) * dt
-        k1 = rhs(t, state)
-        k2 = rhs(t + 0.5 * dt, state + (0.5 * dt) * k1)
-        k3 = rhs(t + 0.5 * dt, state + (0.5 * dt) * k2)
-        k4 = rhs(t + dt, state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if k % stride == 0 or k == n_steps:
-            if not np.all(np.isfinite(state.view(float))):
-                raise DivergenceError(k * dt)
-            drift = np.max(np.abs(np.trace(state, axis1=-2, axis2=-1) - tr0))
-            if drift > 1e-9:
-                raise DivergenceError(k * dt, f"trace drifted by {drift:.3e}")
-            times.append(k * dt)
-            samples.append(state.copy())
-    return np.array(times), np.stack(samples)
+    n_steps = _n_steps(t_max, dt)
+    excited = np.kron(np.diag([0.0, 1.0]), np.eye(d)).astype(complex)
+    eye = np.eye(2 * d, dtype=complex)
+    generator = joint_liouvillian(p, d, 0.0) - 1j * p.delta * (
+        sandwich_superop(excited, eye) - sandwich_superop(eye, excited)
+    )
+    times, samples = _rk4_sampled(generator, columns, n_steps, dt, stride)
+    traces = samples[:, np.arange(2 * d) * (2 * d + 1)].sum(axis=1)
+    drift = np.abs(traces - traces[0]).reshape(len(times), -1).max(axis=1)
+    bad = np.flatnonzero(drift > 1e-9)
+    if bad.size:
+        raise DivergenceError(times[bad[0]], f"trace drifted by {drift[bad[0]]:.3e}")
+    return times, samples
 
 
 def evolve_joint(
@@ -137,14 +125,18 @@ def evolve_joint(
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (2 * d, 2 * d):
         raise ValueError(f"joint state shape {rho0.shape} does not match 2d={2 * d}")
-    return _evolve_stack(p, d, rho0, t_max, dt, stride)
+    times, samples = _evolve_frame(p, d, vec(rho0), t_max, dt, stride)
+    states = samples.reshape(len(times), 2 * d, 2 * d).transpose(0, 2, 1)
+    phase = np.exp(1j * p.delta * times)[:, None, None]
+    states[:, d:, :d] *= phase
+    states[:, :d, d:] *= phase.conj()
+    return times, states
 
 
-def _prep_projector(prep: Preparation) -> np.ndarray:
-    idx = 0 if prep is Preparation.GROUND else 1
-    proj = np.zeros((2, 2), dtype=complex)
-    proj[idx, idx] = 1.0
-    return proj
+def _block_rows(atom: int, d: int) -> np.ndarray:
+    """Positions in vec(joint state) of the field block <atom|rho|atom>, in vec order."""
+    field = atom * d + np.arange(d)
+    return (field[:, None] * (2 * d) + field[None, :]).reshape(-1)
 
 
 def extract_instrument_oracle(
@@ -157,22 +149,11 @@ def extract_instrument_oracle(
     yields one column of the corresponding map.  Linearity of the evolution
     makes the column-by-column assembly exact.
     """
-    proj = _prep_projector(prep)
-    units = np.zeros((d * d, 2 * d, 2 * d), dtype=complex)
-    for m in range(d):
-        for n in range(d):
-            e_mn = np.zeros((d, d), dtype=complex)
-            e_mn[m, n] = 1.0
-            units[n * d + m] = np.kron(proj, e_mn)
-    times, states = _evolve_stack(p, d, units, t_max, dt, stride)
-    # states: (T, d^2, 2d, 2d); the g / e field blocks give the map columns.
-    def columns(block: np.ndarray) -> np.ndarray:
-        cols = block.transpose(0, 1, 3, 2).reshape(len(times), d * d, d * d)
-        return cols.transpose(0, 2, 1)
-
-    m_g = columns(states[:, :, :d, :d])
-    m_e = columns(states[:, :, d:, d:])
-    return InstrumentBranch(prep=prep, times=times, m_g=m_g, m_e=m_e)
+    g_rows, e_rows = _block_rows(0, d), _block_rows(1, d)
+    columns = np.zeros((4 * d * d, d * d), dtype=complex)
+    columns[g_rows if prep is Preparation.GROUND else e_rows, np.arange(d * d)] = 1.0
+    times, samples = _evolve_frame(p, d, columns, t_max, dt, stride)
+    return InstrumentBranch(prep=prep, times=times, m_g=samples[:, g_rows], m_e=samples[:, e_rows])
 
 
 def secular_residual(

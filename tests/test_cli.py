@@ -89,6 +89,8 @@ class TestParseConfig:
             {"log_base": 10},
             {"truncation": "loose"},
             {"csv_out": ""},
+            {"t_max": 0.015, "dt": 0.01},
+            {"t_max": float("inf")},
         ],
     )
     def test_invalid_configs_rejected(self, overrides, tmp_path):
@@ -237,6 +239,11 @@ class TestMainExitCodes:
         path = write_config(tmp_path, preset="strong", d=6, dt=2.0, t_max=4000.0, stride=100)
         with np.errstate(all="ignore"):
             assert main(["run", "--config", str(path)]) == 3
+        # RK4 is unstable at this dt; the metrics reject a non-PSD conditional state
+        path = write_config(tmp_path, preset=None, omega=12, delta=0.5, gamma_big=10, gamma_ge=0.1,
+                            gamma_eg=1.0, d=6, initial_state="fock", n=3, t_max=0.2, dt=0.01, stride=1)
+        assert main(["run", "--config", str(path)]) == 3
+        assert "solver error" in capsys.readouterr().err
 
     def test_io_error_is_4(self, tmp_path, capsys):
         path = write_config(tmp_path, csv_out=str(tmp_path / "missing" / "out.csv"))
@@ -249,6 +256,12 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "secular residual" in out
         assert "outcome g" in out
+
+    @pytest.mark.parametrize("flags", [["--dt", "0"], ["--stride", "0"], ["--t-max", "0.015"]])
+    def test_sweep_bad_grid_is_2(self, tmp_path, capsys, flags):
+        out_dir = tmp_path / "grid"
+        assert main(["sweep", "--out-dir", str(out_dir), *flags]) == 2
+        assert not out_dir.exists()
 
     def test_sweep_and_plot_verbs(self, tmp_path, capsys):
         out_dir = tmp_path / "grid"

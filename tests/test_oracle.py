@@ -62,15 +62,30 @@ def test_liouvillian_is_trace_free():
         assert abs(np.trace(apply_superop(lv, x))) < 1e-12
 
 
-def test_liouvillian_matches_direct_rhs():
-    from cavityprobe.oracle import _rhs_factory
-
+@pytest.mark.parametrize("delta", [0.5, -3.0, 4.36])
+def test_evolve_joint_matches_lab_frame_rk4(delta):
+    """The rotating-frame solver against RK4 on the time-dependent lab generator."""
     rng = np.random.default_rng(77)
-    d = 2
-    rhs = _rhs_factory(STRONG, d)
-    lv = joint_liouvillian(STRONG, d, 0.4)
-    x = rand_hermitian(rng, 2 * d)
-    assert np.max(np.abs(apply_superop(lv, x) - rhs(0.4, x))) < 1e-13
+    d, dt, stride = 3, 0.002, 100
+    p = ModelParams(omega=0.7, delta=delta, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
+    rho0 = rand_density(rng, 2 * d)
+    times, states = evolve_joint(p, d, rho0, 1.0, dt, stride=stride)
+
+    def rhs(t, v):
+        return joint_liouvillian(p, d, t) @ v
+
+    v = rho0.reshape(-1, order="F")
+    reference = [rho0]
+    for k in range(len(times[1:]) * stride):
+        t = k * dt
+        k1 = rhs(t, v)
+        k2 = rhs(t + 0.5 * dt, v + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, v + 0.5 * dt * k2)
+        k4 = rhs(t + dt, v + dt * k3)
+        v = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (k + 1) % stride == 0:
+            reference.append(v.reshape(2 * d, 2 * d, order="F"))
+    assert np.max(np.abs(states - np.stack(reference))) < 1e-10
 
 
 def test_ground_vacuum_is_dark_without_reexcitation():
