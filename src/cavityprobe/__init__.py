@@ -13,7 +13,6 @@ from .fock import (
     TruncationMode,
     annihilation_op,
     check_density_matrix,
-    creation_op,
     fock_state,
     maximally_mixed,
     quadratic_ops,
@@ -28,7 +27,6 @@ from .instrument import (
     conditional_state,
     conditional_trajectories,
     integrate_instrument,
-    unconditional_state,
 )
 from .metrics import (
     MetricsRecord,
@@ -55,7 +53,6 @@ from .superop import (
     superop_dim,
     unvec,
     vec,
-    zero_superop,
 )
 
 __version__ = "0.1.0"

@@ -109,17 +109,12 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _check_time_grid(t_max, dt, stride) -> None:
-    """Reject a horizon, step or stride the integrators cannot honour exactly."""
-    for key, value in (("t_max", t_max), ("dt", dt)):
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-                 and value > 0 and math.isfinite(value),
-                 f"{key} must be a positive finite number, got {value!r}")
-    try:
-        _n_steps(t_max, dt)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    _require(isinstance(stride, int) and stride >= 1, f"stride must be a positive integer, got {stride!r}")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def parse_config(document: str) -> RunConfig:
@@ -128,6 +123,11 @@ def parse_config(document: str) -> RunConfig:
         raw = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return _config_from(raw)
+
+
+def _config_from(raw: dict) -> RunConfig:
+    """Validate a decoded config document; the one place a RunConfig is built."""
     _require(isinstance(raw, dict), "config must be a single flat JSON object")
     unknown = sorted(set(raw) - _ALL_KEYS)
     _require(not unknown, f"unknown config keys: {', '.join(unknown)}")
@@ -143,20 +143,19 @@ def parse_config(document: str) -> RunConfig:
         _require(not missing, f"missing rate keys (or use a preset): {', '.join(missing)}")
         rates = {k: raw[k] for k in _RATE_KEYS}
     for key, value in rates.items():
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                 f"{key} must be a number, got {value!r}")
+        _require(_is_number(value), f"{key} must be a number, got {value!r}")
 
     for key in ("d", "initial_state", "prep", "t_max", "csv_out"):
         _require(key in raw, f"missing required key {key!r}")
 
     d = raw["d"]
-    _require(isinstance(d, int) and d >= 1, f"d must be a positive integer, got {d!r}")
+    _require(_is_int(d) and d >= 1, f"d must be a positive integer, got {d!r}")
 
     initial_state = raw["initial_state"]
     _require(initial_state in ("mixed", "fock"), f"initial_state must be 'mixed' or 'fock', got {initial_state!r}")
     n = raw.get("n")
     if initial_state == "fock":
-        _require(isinstance(n, int), "fock initial_state requires an integer key 'n'")
+        _require(_is_int(n), "fock initial_state requires an integer key 'n'")
         _require(0 <= n < d, f"fock index n={n} must satisfy 0 <= n < d={d}")
     else:
         _require(n is None, "key 'n' is only meaningful with initial_state 'fock'")
@@ -165,11 +164,18 @@ def parse_config(document: str) -> RunConfig:
     _require(prep_raw in _PREPARATIONS, f"prep must be one of {sorted(_PREPARATIONS)}, got {prep_raw!r}")
 
     t_max = raw["t_max"]
-    dt = raw.get("dt", 0.01)
-    stride = raw.get("stride", 10)
-    _check_time_grid(t_max, dt, stride)
+    dt = raw.get("dt", RunConfig.dt)
+    for key, value in (("t_max", t_max), ("dt", dt)):
+        _require(_is_number(value) and value > 0 and math.isfinite(value),
+                 f"{key} must be a positive finite number, got {value!r}")
+    try:
+        _n_steps(t_max, dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    stride = raw.get("stride", RunConfig.stride)
+    _require(_is_int(stride) and stride >= 1, f"stride must be a positive integer, got {stride!r}")
 
-    truncation_raw = raw.get("truncation", "algebraic_closure")
+    truncation_raw = raw.get("truncation", RunConfig.truncation.value)
     try:
         truncation = TruncationMode(truncation_raw)
     except ValueError:
@@ -177,7 +183,7 @@ def parse_config(document: str) -> RunConfig:
             f"truncation must be one of {[m.value for m in TruncationMode]}, got {truncation_raw!r}"
         ) from None
 
-    log_base_raw = raw.get("log_base", 2)
+    log_base_raw = raw.get("log_base", RunConfig.log_base)
     if log_base_raw in (2, 2.0):
         log_base = 2.0
     elif log_base_raw == "e":
@@ -269,29 +275,20 @@ def figure_grid_configs(
     out_dir: str | Path,
     presets: tuple[str, ...] = ("strong", "weak"),
     t_max: float = 10.0,
-    dt: float = 0.01,
-    stride: int = 10,
+    dt: float = RunConfig.dt,
+    stride: int = RunConfig.stride,
 ) -> list[RunConfig]:
-    """The 2 x 6 figure grid: mixed states at d = 2, 4, 6 and Fock 1, 3, 5 at d = 6."""
+    """The 2 x 6 figure grid (mixed at d = 2, 4, 6; Fock 1, 3, 5 at d = 6), validated like a config file."""
     out_dir = Path(out_dir)
     configs = []
     for preset in presets:
-        rates = PRESETS[preset]
-        common = dict(**rates, t_max=t_max, dt=dt, stride=stride, prep=Preparation.GROUND, preset=preset)
-        for d in (2, 4, 6):
-            name = f"{preset}-mixed-d{d}"
-            configs.append(RunConfig(
-                d=d, initial_state="mixed",
-                csv_out=str(out_dir / f"{name}.csv"), svg_out=str(out_dir / f"{name}.svg"),
-                **common,
-            ))
-        for n in (1, 3, 5):
-            name = f"{preset}-fock-n{n}"
-            configs.append(RunConfig(
-                d=6, initial_state="fock", n=n,
-                csv_out=str(out_dir / f"{name}.csv"), svg_out=str(out_dir / f"{name}.svg"),
-                **common,
-            ))
+        states = [(f"{preset}-mixed-d{d}", {"d": d, "initial_state": "mixed"}) for d in (2, 4, 6)]
+        states += [(f"{preset}-fock-n{n}", {"d": 6, "initial_state": "fock", "n": n}) for n in (1, 3, 5)]
+        for name, state in states:
+            configs.append(_config_from({
+                "preset": preset, "prep": "g", **state, "t_max": t_max, "dt": dt, "stride": stride,
+                "csv_out": str(out_dir / f"{name}.csv"), "svg_out": str(out_dir / f"{name}.svg"),
+            }))
     return configs
 
 
@@ -408,28 +405,29 @@ def plot(csv_text: str, columns: list[str]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = parse_config(Path(args.config).read_text(encoding="utf-8"))
+def _load_config(path: str) -> RunConfig:
+    config = parse_config(Path(path).read_text(encoding="utf-8"))
     for warning in config_warnings(config):
         print(f"warning: {warning}", file=sys.stderr)
-    run(config, emit_oracle_report=args.oracle)
+    return config
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    run(_load_config(args.config), emit_oracle_report=args.oracle)
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    config = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    for warning in config_warnings(config):
-        print(f"warning: {warning}", file=sys.stderr)
+    config = _load_config(args.config)
     print(f"config ok: d={config.d}, prep={config.prep.value}, t_max={config.t_max}")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _check_time_grid(args.t_max, args.dt, args.stride)
+    presets = ("strong", "weak") if args.preset == "both" else (args.preset,)
+    configs = figure_grid_configs(args.out_dir, presets, args.t_max, args.dt, args.stride)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    presets = ("strong", "weak") if args.preset == "both" else (args.preset,)
-    configs = figure_grid_configs(out_dir, presets, args.t_max, args.dt, args.stride)
     manifest = sweep(configs, out_dir / "manifest.json")
     print(f"wrote {len(manifest['runs'])} runs to {out_dir}")
     return 0
@@ -460,8 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out-dir", required=True)
     p_sweep.add_argument("--preset", choices=["strong", "weak", "both"], default="both")
     p_sweep.add_argument("--t-max", type=float, default=10.0)
-    p_sweep.add_argument("--dt", type=float, default=0.01)
-    p_sweep.add_argument("--stride", type=int, default=10)
+    p_sweep.add_argument("--dt", type=float, default=RunConfig.dt)
+    p_sweep.add_argument("--stride", type=int, default=RunConfig.stride)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_plot = sub.add_parser("plot", help="render selected CSV columns as an SVG")

@@ -10,7 +10,6 @@ __all__ = [
     "InvalidStateError",
     "TruncationMode",
     "annihilation_op",
-    "creation_op",
     "quadratic_ops",
     "fock_state",
     "maximally_mixed",
@@ -42,11 +41,6 @@ def annihilation_op(d: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, d)), k=1).astype(complex)
 
 
-def creation_op(d: int) -> np.ndarray:
-    """Creation operator, the adjoint of :func:`annihilation_op`."""
-    return annihilation_op(d).conj().T
-
-
 def quadratic_ops(
     d: int, mode: TruncationMode = TruncationMode.ALGEBRAIC_CLOSURE
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -59,7 +53,7 @@ def quadratic_ops(
         raise ValueError(f"dimension must be a positive integer, got {d}")
     levels = np.arange(d, dtype=float)
     n_op = np.diag(levels).astype(complex)
-    if mode is TruncationMode.STRICT:
+    if TruncationMode(mode) is TruncationMode.STRICT:
         aad_op = np.diag(np.concatenate([levels[1:], [0.0]])).astype(complex)
     else:
         aad_op = n_op + np.eye(d, dtype=complex)
@@ -84,22 +78,17 @@ def maximally_mixed(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex) / d
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-12,
-    eig_tol: float = 1e-10,
-    trace_tol: float = 1e-12,
-) -> None:
-    """Validate Hermiticity, positivity and unit trace, raising on failure."""
+def check_density_matrix(rho: np.ndarray) -> None:
+    """Raise InvalidStateError unless rho is Hermitian (1e-12), PSD (-1e-10) and of unit trace (1e-12)."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"density matrix must be square, got shape {rho.shape}")
     herm = np.max(np.abs(rho - rho.conj().T))
-    if herm >= herm_tol:
+    if herm >= 1e-12:
         raise InvalidStateError(f"matrix is not Hermitian (max deviation {herm:.3e})")
     low = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-    if low < -eig_tol:
+    if low < -1e-10:
         raise InvalidStateError(f"matrix is not positive semidefinite (min eigenvalue {low:.3e})")
     tr_err = abs(np.trace(rho) - 1.0)
-    if tr_err >= trace_tol:
+    if tr_err >= 1e-12:
         raise InvalidStateError(f"trace differs from one by {tr_err:.3e}")

@@ -20,12 +20,11 @@ from enum import Enum
 
 import numpy as np
 
-from .fock import TruncationMode
+from .fock import TruncationMode, check_density_matrix
 from .superop import (
     apply_superop,
     identity_superop,
     su11_generators,
-    superop_dim,
     vec,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "integrate_instrument",
     "conditional_trajectories",
     "conditional_state",
-    "unconditional_state",
 ]
 
 P_FLOOR = 1e-12
@@ -91,8 +89,13 @@ class ModelParams:
                 "gamma_big must be at least (gamma_ge + gamma_eg)/2, got "
                 f"{self.gamma_big} < {0.5 * (self.gamma_ge + self.gamma_eg)}"
             )
-        if self.gamma_big == 0 and self.delta == 0:
-            raise ValueError("gamma_big and delta may not both vanish")
+        try:
+            finite = np.isfinite(self.kappa)
+        except ArithmeticError:  # the denominator underflows to 0 or a square overflows
+            finite = False
+        if not finite:
+            raise ValueError(f"kappa = omega**2 / (gamma_big**2 + delta**2) is not finite for omega={self.omega}, "
+                             f"gamma_big={self.gamma_big}, delta={self.delta}")
 
     @property
     def kappa(self) -> float:
@@ -130,10 +133,6 @@ class InstrumentBranch:
     m_g: np.ndarray
     m_e: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return superop_dim(self.m_g[0])
-
 
 def build_block_generator(
     p: ModelParams, d: int, mode: TruncationMode = TruncationMode.ALGEBRAIC_CLOSURE
@@ -150,8 +149,6 @@ def build_block_generator(
     rotation (opposite sense on the two branches) plus the constant offset
     that makes the pair exactly trace-conserving away from the cutoff.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
     k0, kplus, kminus, n_comm = su11_generators(d, mode)
     ident = identity_superop(d)
     rate = p.field_rate
@@ -215,7 +212,7 @@ def _propagate_blocks(
     g_gg, g_ge, g_eg, g_ee = build_block_generator(p, d, mode)
     matrix = np.block([[g_gg, g_ge], [g_eg, g_ee]])
     zero = np.zeros_like(field0)
-    pair = (field0, zero) if prep is Preparation.GROUND else (zero, field0)
+    pair = (field0, zero) if Preparation(prep) is Preparation.GROUND else (zero, field0)
     times, samples = _rk4_sampled(matrix, np.concatenate(pair), n_steps, dt, stride)
     return times, samples[:, : d * d], samples[:, d * d :]
 
@@ -235,7 +232,7 @@ def integrate_instrument(
     a whole number of steps of size dt.
     """
     times, m_g, m_e = _propagate_blocks(p, d, prep, identity_superop(d), t_max, dt, mode, stride)
-    return InstrumentBranch(prep=prep, times=times, m_g=m_g, m_e=m_e)
+    return InstrumentBranch(prep=Preparation(prep), times=times, m_g=m_g, m_e=m_e)
 
 
 def conditional_trajectories(
@@ -252,21 +249,21 @@ def conditional_trajectories(
 
     Same dynamics as :func:`integrate_instrument` applied to a fixed initial
     field state, propagating d x d matrices instead of full maps.  Returns
-    (times, y_g, y_e) with y_* of shape (T, d, d).
+    (times, y_g, y_e) with y_* of shape (T, d, d).  rho_f must be a density
+    matrix; anything else raises InvalidStateError before integrating.
     """
     rho_f = np.asarray(rho_f, dtype=complex)
     if rho_f.shape != (d, d):
         raise ValueError(f"initial state shape {rho_f.shape} does not match d={d}")
+    check_density_matrix(rho_f)
     times, v_g, v_e = _propagate_blocks(p, d, prep, vec(rho_f), t_max, dt, mode, stride)
     return times, v_g.reshape(-1, d, d).transpose(0, 2, 1), v_e.reshape(-1, d, d).transpose(0, 2, 1)
 
 
-def conditional_state(
-    m_r: np.ndarray, rho_f: np.ndarray, p_floor: float = P_FLOOR
-) -> tuple[np.ndarray | None, float]:
+def conditional_state(m_r: np.ndarray, rho_f: np.ndarray) -> tuple[np.ndarray | None, float]:
     """Conditional post-measurement state and outcome probability.
 
-    Returns (rho_r, p_r).  When p_r does not exceed p_floor the outcome is
+    Returns (rho_r, p_r).  When p_r does not exceed P_FLOOR the outcome is
     reported with rho_r = None rather than amplifying noise by normalizing.
     """
     y = apply_superop(m_r, rho_f)
@@ -277,12 +274,7 @@ def conditional_state(
     if p_r < -1e-8:
         raise PositivityError(f"outcome probability {p_r:.3e} is significantly negative")
     p_r = max(p_r, 0.0)
-    if p_r <= p_floor:
+    if p_r <= P_FLOOR:
         return None, p_r
     rho_r = 0.5 * (y + y.conj().T) / p_r
     return rho_r, p_r
-
-
-def unconditional_state(m_g: np.ndarray, m_e: np.ndarray, rho_f: np.ndarray) -> np.ndarray:
-    """Nonselective post-measurement state, the sum over both outcomes."""
-    return apply_superop(m_g + m_e, rho_f)

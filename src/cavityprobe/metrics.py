@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import InvalidStateError
-from .instrument import P_FLOOR, InstrumentBranch, conditional_state
+from .fock import InvalidStateError, check_density_matrix
+from .instrument import InstrumentBranch, conditional_state
 
 __all__ = [
     "MetricsRecord",
@@ -22,13 +22,12 @@ __all__ = [
 ]
 
 _EIG_ERROR = -1e-8
-_EIG_CLAMP = -1e-10
 
 
 def _checked_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian PSD matrix with tolerance policy.
 
-    Eigenvalues inside the round-off window [-1e-10, 0) are clamped to zero;
+    Negative eigenvalues down to -1e-8 are round-off and are clamped to zero;
     anything below -1e-8 is treated as a bug in the caller, not as data.
     """
     rho = np.asarray(rho)
@@ -99,16 +98,16 @@ def metrics_series(
     branch: InstrumentBranch,
     rho_f: np.ndarray,
     base: float = 2.0,
-    p_floor: float = P_FLOOR,
 ) -> list[MetricsRecord]:
-    """Evaluate probability, information gain and fidelity along a branch."""
+    """Probability, information gain and fidelity along a branch for the density matrix rho_f."""
     rho_f = np.asarray(rho_f, dtype=complex)
+    check_density_matrix(rho_f)
     s_initial = von_neumann_entropy(rho_f, base)
     records = []
     for k, t in enumerate(branch.times):
         values: dict[str, float | bool | None] = {}
         for label, maps in (("g", branch.m_g), ("e", branch.m_e)):
-            rho_r, p_r = conditional_state(maps[k], rho_f, p_floor)
+            rho_r, p_r = conditional_state(maps[k], rho_f)
             values[f"p_{label}"] = p_r
             if rho_r is None:
                 values[f"defined_{label}"] = False

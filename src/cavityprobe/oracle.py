@@ -78,8 +78,6 @@ def _jump_ops(p: ModelParams, d: int) -> list[tuple[np.ndarray, float]]:
 
 def joint_liouvillian(p: ModelParams, d: int, t: float) -> np.ndarray:
     """Superoperator matrix of the joint generator at time t (dimension (2d)^2)."""
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
     h = joint_hamiltonian(p, d, t)
     eye = np.eye(2 * d, dtype=complex)
     lv = -1j * (sandwich_superop(h, eye) - sandwich_superop(eye, h))
@@ -149,6 +147,7 @@ def extract_instrument_oracle(
     yields one column of the corresponding map.  Linearity of the evolution
     makes the column-by-column assembly exact.
     """
+    prep = Preparation(prep)
     g_rows, e_rows = _block_rows(0, d), _block_rows(1, d)
     columns = np.zeros((4 * d * d, d * d), dtype=complex)
     columns[g_rows if prep is Preparation.GROUND else e_rows, np.arange(d * d)] = 1.0

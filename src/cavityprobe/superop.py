@@ -20,7 +20,6 @@ __all__ = [
     "unvec",
     "superop_dim",
     "identity_superop",
-    "zero_superop",
     "sandwich_superop",
     "apply_superop",
     "su11_generators",
@@ -55,10 +54,6 @@ def superop_dim(s: np.ndarray) -> int:
 
 def identity_superop(d: int) -> np.ndarray:
     return np.eye(d * d, dtype=complex)
-
-
-def zero_superop(d: int) -> np.ndarray:
-    return np.zeros((d * d, d * d), dtype=complex)
 
 
 def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -91,6 +91,10 @@ class TestParseConfig:
             {"csv_out": ""},
             {"t_max": 0.015, "dt": 0.01},
             {"t_max": float("inf")},
+            {"preset": None, "omega": 0.1, "delta": 0.0, "gamma_big": 1e-200, "gamma_ge": 0.0, "gamma_eg": 0.0},
+            {"d": True},
+            {"stride": True},
+            {"initial_state": "fock", "n": False},
         ],
     )
     def test_invalid_configs_rejected(self, overrides, tmp_path):
@@ -217,6 +221,10 @@ class TestSweep:
         loaded = json.loads((tmp_path / "manifest.json").read_text())
         assert {r["initial_state"] for r in loaded["runs"]} == {"mixed", "fock"}
         assert sorted(r["d"] for r in loaded["runs"]) == [2, 4, 6, 6, 6, 6]
+
+    def test_figure_grid_validates_time_grid(self, tmp_path):
+        with pytest.raises(ConfigError, match="whole number"):
+            figure_grid_configs(tmp_path, t_max=0.015, dt=0.01)
 
     def test_empty_sweep_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -6,7 +6,6 @@ from cavityprobe.fock import (
     TruncationMode,
     annihilation_op,
     check_density_matrix,
-    creation_op,
     fock_state,
     maximally_mixed,
     quadratic_ops,
@@ -38,7 +37,7 @@ def test_annihilation_lowers_fock_levels():
 
 
 def test_invalid_dimension_rejected():
-    for func in (annihilation_op, creation_op, maximally_mixed):
+    for func in (annihilation_op, maximally_mixed):
         with pytest.raises(ValueError):
             func(0)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cavityprobe.fock import TruncationMode, fock_state, maximally_mixed
+from cavityprobe.fock import InvalidStateError, TruncationMode, fock_state, maximally_mixed
 from cavityprobe.instrument import (
     DivergenceError,
     ModelParams,
@@ -11,7 +11,6 @@ from cavityprobe.instrument import (
     conditional_state,
     conditional_trajectories,
     integrate_instrument,
-    unconditional_state,
 )
 from cavityprobe.metrics import metrics_series
 from cavityprobe.superop import apply_superop, choi_matrix, identity_superop, sandwich_superop
@@ -51,6 +50,11 @@ class TestModelParams:
             ModelParams(omega=0.1, delta=0.0, gamma_big=0.4, gamma_ge=0.5, gamma_eg=0.5)
         with pytest.raises(ValueError):
             ModelParams(omega=0.1, delta=0.0, gamma_big=0.0, gamma_ge=0.0, gamma_eg=0.0)
+        # kappa = omega**2 / (gamma_big**2 + delta**2): the denominator underflows
+        # to 0, the quotient overflows, or the square overflows
+        for gamma_big in (1e-200, 1e-160, 1e200):
+            with pytest.raises(ValueError, match="kappa"):
+                ModelParams(omega=0.1, delta=0.0, gamma_big=gamma_big, gamma_ge=0.0, gamma_eg=0.0)
 
 
 class TestBlockGenerator:
@@ -186,6 +190,27 @@ class TestIntegration:
             integrate_instrument(p, 6, Preparation.GROUND, 4000.0, 2.0, stride=100)
         assert err.value.t > 0
 
+    def test_preparation_given_by_value_selects_its_branch(self):
+        for prep in Preparation:
+            branch = integrate_instrument(STRONG, 2, prep.value, 0.1, 0.01)
+            reference = integrate_instrument(STRONG, 2, prep, 0.1, 0.01)
+            assert branch.prep is prep
+            assert np.array_equal(branch.m_g, reference.m_g)
+            assert np.array_equal(branch.m_e, reference.m_e)
+        with pytest.raises(ValueError):
+            integrate_instrument(STRONG, 2, "g", 0.1, 0.01)
+
+    def test_truncation_mode_given_by_value_selects_its_mode(self):
+        branch = integrate_instrument(STRONG, 2, Preparation.GROUND, 0.1, 0.01, mode="strict")
+        reference = integrate_instrument(STRONG, 2, Preparation.GROUND, 0.1, 0.01, mode=TruncationMode.STRICT)
+        assert np.array_equal(branch.m_g, reference.m_g)
+        with pytest.raises(ValueError):
+            integrate_instrument(STRONG, 2, Preparation.GROUND, 0.1, 0.01, mode="closure")
+
+    def test_trajectories_reject_non_density_input(self):
+        with pytest.raises(InvalidStateError):
+            conditional_trajectories(STRONG, 2, Preparation.GROUND, np.array([[1.0, 1.0], [0.0, 0.0]]), 0.1, 0.01)
+
     def test_bad_time_arguments(self):
         with pytest.raises(ValueError):
             integrate_instrument(STRONG, 2, Preparation.GROUND, 0.0, 0.01)
@@ -227,20 +252,3 @@ class TestConditionalState:
         assert p == pytest.approx(1.0, abs=1e-14)
         assert np.max(np.abs(out - out.conj().T)) == 0.0
         assert np.max(np.abs(out - maximally_mixed(2))) < 1e-11
-
-
-class TestUnconditionalState:
-    def test_identity_pair_at_t0(self):
-        branch = integrate_instrument(STRONG, 3, Preparation.GROUND, 1.0, 0.01, stride=100)
-        rho = maximally_mixed(3)
-        out = unconditional_state(branch.m_g[0], branch.m_e[0], rho)
-        assert np.allclose(out, rho, atol=0)
-
-    def test_trace_conserved_without_reexcitation(self):
-        rng = np.random.default_rng(21)
-        d = 3
-        rho = rand_density(rng, d)
-        branch = integrate_instrument(WEAK, d, Preparation.GROUND, 5.0, 0.01, stride=100)
-        for mg, me in zip(branch.m_g, branch.m_e):
-            out = unconditional_state(mg, me, rho)
-            assert abs(np.trace(out) - 1.0) < 1e-9

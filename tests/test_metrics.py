@@ -143,6 +143,12 @@ class TestMetricsSeries:
                 if gain is not None:
                     assert abs(gain - (np.log2(d) - entropy)) < 1e-10
 
+    def test_rejects_non_density_input(self):
+        # Hermitian part is a valid state, so only the entry check catches it
+        branch = integrate_instrument(STRONG, 2, Preparation.GROUND, 0.1, 0.01)
+        with pytest.raises(InvalidStateError, match="Hermitian"):
+            metrics_series(branch, np.array([[0.5, 0.1j], [0.1j, 0.5]]))
+
     def test_probabilities_lie_in_unit_interval(self):
         branch = integrate_instrument(STRONG, 3, Preparation.EXCITED, 8.0, 0.01, stride=40)
         for rec in metrics_series(branch, maximally_mixed(3)):

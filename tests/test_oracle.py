@@ -182,3 +182,14 @@ def test_residual_small_in_secular_regime():
     res = secular_residual(p, 3, Preparation.GROUND, 5.0, 0.01, stride=50)
     assert res["g"] < 0.01
     assert res["e"] < 0.01
+
+
+def test_preparation_given_by_value_selects_its_branch():
+    for prep in Preparation:
+        branch = extract_instrument_oracle(STRONG, 2, prep.value, 0.05, 0.005)
+        reference = extract_instrument_oracle(STRONG, 2, prep, 0.05, 0.005)
+        assert branch.prep is prep
+        assert np.array_equal(branch.m_g, reference.m_g)
+        assert np.array_equal(branch.m_e, reference.m_e)
+    with pytest.raises(ValueError):
+        extract_instrument_oracle(STRONG, 2, "g", 0.05, 0.005)

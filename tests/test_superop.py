@@ -11,7 +11,6 @@ from cavityprobe.superop import (
     superop_dim,
     unvec,
     vec,
-    zero_superop,
 )
 
 
@@ -56,7 +55,7 @@ def test_apply_identity_and_zero():
     rng = np.random.default_rng(3)
     x = rand_matrix(rng, 4)
     assert np.allclose(apply_superop(identity_superop(4), x), x, atol=0)
-    assert np.array_equal(apply_superop(zero_superop(4), x), np.zeros((4, 4)))
+    assert np.array_equal(apply_superop(np.zeros((16, 16)), x), np.zeros((4, 4)))
 
 
 def test_apply_sandwich_on_mixed_state():
@@ -163,7 +162,7 @@ def test_choi_of_kraus_sums_and_compositions_psd(d):
     rng = np.random.default_rng(900 + d)
     maps = []
     for _ in range(2):
-        s = zero_superop(d)
+        s = np.zeros((d * d, d * d), dtype=complex)
         for _ in range(3):
             kraus = rand_matrix(rng, d)
             s += sandwich_superop(kraus, kraus.conj().T)
