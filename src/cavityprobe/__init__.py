@@ -24,7 +24,6 @@ from .instrument import (
     PositivityError,
     Preparation,
     build_block_generator,
-    conditional_state,
     conditional_trajectories,
     integrate_instrument,
 )
@@ -49,7 +48,6 @@ from .superop import (
     choi_matrix,
     identity_superop,
     sandwich_superop,
-    su11_generators,
     superop_dim,
     unvec,
     vec,

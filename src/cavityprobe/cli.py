@@ -26,8 +26,9 @@ from .instrument import (
     PositivityError,
     Preparation,
     _n_steps,
-    integrate_instrument,
+    conditional_trajectories,
 )
+from .instrument import integrate_instrument  # noqa: F401  perfbench's figure-grid trace rebinds this name
 from .metrics import MetricsRecord, metrics_series
 from .oracle import dt_limit, secular_residual
 
@@ -251,10 +252,10 @@ def run(config: RunConfig, emit_oracle_report: bool = False, out=None) -> str:
     out = sys.stdout if out is None else out
     params = config.model_params()
     rho_f = config.initial_density()
-    branch = integrate_instrument(
-        params, config.d, config.prep, config.t_max, config.dt, config.truncation, config.stride
+    trajectories = conditional_trajectories(
+        params, config.d, config.prep, rho_f, config.t_max, config.dt, config.truncation, config.stride
     )
-    records = metrics_series(branch, rho_f, base=config.log_base)
+    records = metrics_series(*trajectories, rho_f, base=config.log_base)
     text = render_csv(records)
     _write_text(config.csv_out, text)
     if config.svg_out:
@@ -348,10 +349,25 @@ def plot(csv_text: str, columns: list[str]) -> str:
     if len(rows) < 2:
         raise ConfigError(f"need at least 2 data rows to plot, got {len(rows)}")
 
-    times = [float(row[index["t"]]) for row in rows]
+    def number(k: int, row: list[str], name: str) -> float | None:
+        """Cell `name` of data row k as a finite float; None when empty, except in 't'."""
+        text = row[index[name]] if index[name] < len(row) else None
+        if text == "" and name != "t":
+            return None
+        try:
+            value = float(text)
+        except (TypeError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
+            found = "no cell" if text is None else repr(text)
+            raise ConfigError(f"column {name!r}, data row {k}: need a finite number, found {found}")
+        return value
+
+    times = [number(k, row, "t") for k, row in enumerate(rows, 1)]
     series = {}
     for name in columns:
-        pts = [(t, float(row[index[name]])) for t, row in zip(times, rows) if row[index[name]] != ""]
+        values = [number(k, row, name) for k, row in enumerate(rows, 1)]
+        pts = [(t, y) for t, y in zip(times, values) if y is not None]
         if len(pts) < 2:
             raise ConfigError(f"column {name!r} has fewer than 2 defined values")
         series[name] = pts

@@ -79,10 +79,12 @@ def maximally_mixed(d: int) -> np.ndarray:
 
 
 def check_density_matrix(rho: np.ndarray) -> None:
-    """Raise InvalidStateError unless rho is Hermitian (1e-12), PSD (-1e-10) and of unit trace (1e-12)."""
+    """Raise InvalidStateError unless rho is finite, Hermitian (1e-12), PSD (-1e-10) and of unit trace (1e-12)."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"density matrix must be square, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise InvalidStateError("matrix has non-finite entries")
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm >= 1e-12:
         raise InvalidStateError(f"matrix is not Hermitian (max deviation {herm:.3e})")

@@ -20,13 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .fock import TruncationMode, check_density_matrix
-from .superop import (
-    apply_superop,
-    identity_superop,
-    su11_generators,
-    vec,
-)
+from .fock import TruncationMode, annihilation_op, check_density_matrix, quadratic_ops
+from .superop import identity_superop, sandwich_superop, vec
 
 __all__ = [
     "DivergenceError",
@@ -38,7 +33,6 @@ __all__ = [
     "build_block_generator",
     "integrate_instrument",
     "conditional_trajectories",
-    "conditional_state",
 ]
 
 P_FLOOR = 1e-12
@@ -139,24 +133,31 @@ def build_block_generator(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Blocks (G_gg, G_ge, G_eg, G_ee) of the outcome-resolved generator.
 
-    With r = 2 * kappa * gamma_big and the ladder superoperators K0, K+, K-
-    and the number commutator N:
+    With r = 2 * kappa * gamma_big, the ladder sandwiches K+ X = a+ X a and
+    K- X = a X a+, and the number commutator N X = [a+a, X]:
 
-        G_gg = -(r K0 + beta + gamma_ge Id)     G_ge = r K+ + gamma_eg Id
-        G_eg = r K- + gamma_ge Id               G_ee = -(r K0 - beta + gamma_eg Id)
+        G_gg = -(r {a+a, .}/2 - i kappa delta N + gamma_ge Id)     G_ge = r K+ + gamma_eg Id
+        G_eg = r K- + gamma_ge Id       G_ee = -(r {a a+, .}/2 + i kappa delta N + gamma_eg Id)
 
-    where beta = -kappa (i delta N + gamma_big Id) carries the detuning
-    rotation (opposite sense on the two branches) plus the constant offset
-    that makes the pair exactly trace-conserving away from the cutoff.
+    with a a+ realized per the truncation mode.  Each branch loses what its
+    jump term hands to the other, Tr(a X a+) = Tr(a+a X) and
+    Tr(a+ X a) = Tr(a a+ X), so the pair conserves trace wherever the
+    realized a a+ is the truncated product; the detuning rotates the two
+    branches in opposite senses.
     """
-    k0, kplus, kminus, n_comm = su11_generators(d, mode)
-    ident = identity_superop(d)
+    a = annihilation_op(d)
+    n, aad = (op.diagonal() for op in quadratic_ops(d, mode))
+    # a+a and a a+ are diagonal, so G_gg and G_ee only scale each X_ij, which
+    # sits at column-stacking position i + j d: by (x_i + x_j)/2 for {x, .}/2
+    # and by n_i - n_j for N.
+    anti_n, anti_aad = (0.5 * np.add.outer(x, x).ravel() for x in (n, aad))
+    rotation = 1j * p.kappa * p.delta * np.subtract.outer(n, n).T.ravel()
     rate = p.field_rate
-    beta = -p.kappa * (1j * p.delta * n_comm + p.gamma_big * ident)
-    g_gg = -(rate * k0 + beta + p.gamma_ge * ident)
-    g_ge = rate * kplus + p.gamma_eg * ident
-    g_eg = rate * kminus + p.gamma_ge * ident
-    g_ee = -(rate * k0 - beta + p.gamma_eg * ident)
+    ident = identity_superop(d)
+    g_gg = np.diag(-(rate * anti_n - rotation + p.gamma_ge))
+    g_ge = rate * sandwich_superop(a.conj().T, a) + p.gamma_eg * ident
+    g_eg = rate * sandwich_superop(a, a.conj().T) + p.gamma_ge * ident
+    g_ee = np.diag(-(rate * anti_aad + rotation + p.gamma_eg))
     return g_gg, g_ge, g_eg, g_ee
 
 
@@ -259,22 +260,3 @@ def conditional_trajectories(
     times, v_g, v_e = _propagate_blocks(p, d, prep, vec(rho_f), t_max, dt, mode, stride)
     return times, v_g.reshape(-1, d, d).transpose(0, 2, 1), v_e.reshape(-1, d, d).transpose(0, 2, 1)
 
-
-def conditional_state(m_r: np.ndarray, rho_f: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """Conditional post-measurement state and outcome probability.
-
-    Returns (rho_r, p_r).  When p_r does not exceed P_FLOOR the outcome is
-    reported with rho_r = None rather than amplifying noise by normalizing.
-    """
-    y = apply_superop(m_r, rho_f)
-    p = complex(np.trace(y))
-    if abs(p.imag) >= 1e-10:
-        raise PositivityError(f"outcome probability has imaginary part {p.imag:.3e}")
-    p_r = p.real
-    if p_r < -1e-8:
-        raise PositivityError(f"outcome probability {p_r:.3e} is significantly negative")
-    p_r = max(p_r, 0.0)
-    if p_r <= P_FLOOR:
-        return None, p_r
-    rho_r = 0.5 * (y + y.conj().T) / p_r
-    return rho_r, p_r

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import InvalidStateError, check_density_matrix
-from .instrument import InstrumentBranch, conditional_state
+from .instrument import P_FLOOR, PositivityError
 
 __all__ = [
     "MetricsRecord",
@@ -21,29 +21,32 @@ __all__ = [
     "metrics_series",
 ]
 
-_EIG_ERROR = -1e-8
-
 
 def _checked_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian PSD matrix with tolerance policy.
+    """Eigendecomposition of a Hermitian PSD matrix, or a (..., d, d) stack, with tolerance policy.
 
     Negative eigenvalues down to -1e-8 are round-off and are clamped to zero;
-    anything below -1e-8 is treated as a bug in the caller, not as data.
+    anything below -1e-8, or not a number, is treated as a bug in the caller,
+    not as data.
     """
     rho = np.asarray(rho)
-    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    low = vals.min()
-    if low < _EIG_ERROR:
+    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().swapaxes(-1, -2)))
+    low = vals.min(initial=np.inf)
+    if not low >= -1e-8:
         raise InvalidStateError(f"matrix has eigenvalue {low:.3e} below the error threshold")
     return np.clip(vals, 0.0, None), vecs
 
 
-def von_neumann_entropy(rho: np.ndarray, base: float = 2.0) -> float:
-    """Entropy -sum(lam log lam) of a density matrix, with 0 log 0 = 0."""
+def von_neumann_entropy(rho: np.ndarray, base: float = 2.0):
+    """Entropy -sum(lam log lam) of a density matrix, with 0 log 0 = 0.
+
+    A (..., d, d) stack gives an array of shape (...).
+    """
     vals, _ = _checked_eigh(rho)
     vals = np.clip(vals, 0.0, 1.0)
-    nz = vals[vals > 0.0]
-    return float(-np.sum(nz * np.log(nz)) / np.log(base))
+    logs = np.log(vals, out=np.zeros_like(vals), where=vals > 0.0)
+    entropy = -np.sum(vals * logs, axis=-1) / np.log(base)
+    return entropy if entropy.ndim else float(entropy)
 
 
 def info_gain(rho_before: np.ndarray, rho_after: np.ndarray, base: float = 2.0) -> float:
@@ -52,28 +55,33 @@ def info_gain(rho_before: np.ndarray, rho_after: np.ndarray, base: float = 2.0) 
 
 
 def sqrtm_psd(rho: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a PSD matrix via eigendecomposition."""
+    """Hermitian square root of a PSD matrix, or of each matrix of a stack, via eigendecomposition."""
     vals, vecs = _checked_eigh(rho)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)) between density matrices."""
+def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray):
+    """Fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)) between density matrices.
+
+    Either argument may be a (..., d, d) stack; the result then has the
+    broadcast shape (...).
+    """
     rho = np.asarray(rho)
     sigma = np.asarray(sigma)
-    if rho.shape != sigma.shape:
+    if rho.shape[-2:] != sigma.shape[-2:]:
         raise ValueError(f"shape mismatch {rho.shape} vs {sigma.shape}")
     _checked_eigh(sigma)
     root = sqrtm_psd(rho)
-    inner = root @ sigma @ root
-    vals, _ = _checked_eigh(inner)
+    vals, _ = _checked_eigh(root @ sigma @ root)
     # Rank-deficient inputs leave eps-level junk in the spectrum that the
     # square root would amplify to ~1e-8; drop it before rooting.
-    vals[vals < vals.max() * 1e-12] = 0.0
-    fid = float(np.sum(np.sqrt(vals)))
-    if fid > 1.0 + 1e-9:
-        raise InvalidStateError(f"fidelity {fid} exceeds one beyond tolerance")
-    return min(fid, 1.0)
+    vals[vals < vals.max(axis=-1, keepdims=True) * 1e-12] = 0.0
+    fid = np.sum(np.sqrt(vals), axis=-1)
+    high = fid.max(initial=0.0)
+    if high > 1.0 + 1e-9:
+        raise InvalidStateError(f"fidelity {high} exceeds one beyond tolerance")
+    fid = np.minimum(fid, 1.0)
+    return fid if fid.ndim else float(fid)
 
 
 @dataclass(frozen=True)
@@ -95,30 +103,42 @@ class MetricsRecord:
 
 
 def metrics_series(
-    branch: InstrumentBranch,
+    times: np.ndarray,
+    y_g: np.ndarray,
+    y_e: np.ndarray,
     rho_f: np.ndarray,
     base: float = 2.0,
 ) -> list[MetricsRecord]:
-    """Probability, information gain and fidelity along a branch for the density matrix rho_f."""
+    """Probability, information gain and fidelity at each time for the density matrix rho_f.
+
+    y_g and y_e are the unnormalized conditional states M_g(t) rho_f and
+    M_e(t) rho_f at `times`, as returned by conditional_trajectories.
+    """
     rho_f = np.asarray(rho_f, dtype=complex)
     check_density_matrix(rho_f)
-    s_initial = von_neumann_entropy(rho_f, base)
-    records = []
-    for k, t in enumerate(branch.times):
-        values: dict[str, float | bool | None] = {}
-        for label, maps in (("g", branch.m_g), ("e", branch.m_e)):
-            rho_r, p_r = conditional_state(maps[k], rho_f)
-            values[f"p_{label}"] = p_r
-            if rho_r is None:
-                values[f"defined_{label}"] = False
-                values[f"i_{label}"] = None
-                values[f"f_{label}"] = None
-                values[f"s_{label}"] = None
-            else:
-                s_r = von_neumann_entropy(rho_r, base)
-                values[f"defined_{label}"] = True
-                values[f"s_{label}"] = s_r
-                values[f"i_{label}"] = s_initial - s_r
-                values[f"f_{label}"] = uhlmann_fidelity(rho_f, rho_r)
-        records.append(MetricsRecord(t=float(t), **values))
-    return records
+    y = np.stack([y_g, y_e], axis=1)
+    if y.shape != (len(times), 2, *rho_f.shape):
+        raise ValueError(f"y_g and y_e must have shape {(len(times), *rho_f.shape)}, got {np.shape(y_g)}")
+    p = np.trace(y, axis1=-2, axis2=-1)
+    if np.any(np.abs(p.imag) >= 1e-10):
+        raise PositivityError(f"outcome probability has imaginary part {np.abs(p.imag).max():.3e}")
+    p = p.real
+    if np.any(p < -1e-8):
+        raise PositivityError(f"outcome probability {p.min():.3e} is significantly negative")
+    p = np.where(p < 0.0, 0.0, p)
+    # Outcomes at or below the floor stay undefined rather than amplifying noise by normalizing.
+    defined = p > P_FLOOR
+    y = y[defined]
+    states = 0.5 * (y + y.conj().swapaxes(-1, -2)) / p[defined][:, None, None]
+    entropy = von_neumann_entropy(states, base)
+    columns = {"p": p.tolist(), "defined": defined.tolist()}
+    for name, values in (("s", entropy), ("i", von_neumann_entropy(rho_f, base) - entropy),
+                         ("f", uhlmann_fidelity(rho_f, states))):
+        column = np.full(p.shape, None, dtype=object)
+        column[defined] = values
+        columns[name] = column.tolist()
+    return [
+        MetricsRecord(t=float(t), **{f"{name}_{label}": column[k][j]
+                                     for name, column in columns.items() for j, label in enumerate("ge")})
+        for k, t in enumerate(times)
+    ]

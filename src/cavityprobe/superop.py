@@ -13,8 +13,6 @@ import math
 
 import numpy as np
 
-from .fock import TruncationMode, annihilation_op, quadratic_ops
-
 __all__ = [
     "vec",
     "unvec",
@@ -22,7 +20,6 @@ __all__ = [
     "identity_superop",
     "sandwich_superop",
     "apply_superop",
-    "su11_generators",
     "choi_matrix",
 ]
 
@@ -72,25 +69,6 @@ def apply_superop(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     if x.shape != (d, d):
         raise ValueError(f"operand shape {x.shape} does not match superoperator dimension {d}")
     return unvec(s @ vec(x))
-
-
-def su11_generators(
-    d: int, mode: TruncationMode = TruncationMode.ALGEBRAIC_CLOSURE
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """SU(1,1) generator superoperators (K0, K+, K-, N) on a d-level ladder.
-
-    K0 X = (a+a X + X a a+)/2, K+ X = a+ X a, K- X = a X a+, and
-    N X = [a+a, X], with a a+ realized per the truncation mode.
-    """
-    a = annihilation_op(d)
-    adag = a.conj().T
-    n_op, aad_op = quadratic_ops(d, mode)
-    eye = np.eye(d, dtype=complex)
-    k0 = 0.5 * (sandwich_superop(n_op, eye) + sandwich_superop(eye, aad_op))
-    kplus = sandwich_superop(adag, a)
-    kminus = sandwich_superop(a, adag)
-    n_comm = sandwich_superop(n_op, eye) - sandwich_superop(eye, n_op)
-    return k0, kplus, kminus, n_comm
 
 
 def choi_matrix(s: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ expectations they encode are provably unreachable for this model:
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,13 +30,12 @@ from cavityprobe.fock import fock_state, maximally_mixed
 from cavityprobe.instrument import (
     ModelParams,
     Preparation,
-    conditional_state,
     conditional_trajectories,
     integrate_instrument,
 )
 from cavityprobe.metrics import metrics_series, uhlmann_fidelity, von_neumann_entropy
 from cavityprobe.oracle import secular_residual
-from cavityprobe.superop import choi_matrix
+from cavityprobe.superop import apply_superop, choi_matrix
 
 STRONG = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
 WEAK = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.0, gamma_eg=0.01)
@@ -85,8 +85,7 @@ def test_criterion_2_identity_at_time_zero():
         for prep in (Preparation.GROUND, Preparation.EXCITED):
             for rho in (maximally_mixed(4), fock_state(6, 5)):
                 d = rho.shape[0]
-                branch = integrate_instrument(preset, d, prep, 0.1, 0.01, stride=10)
-                rec = metrics_series(branch, rho)[0]
+                rec = metrics_series(*conditional_trajectories(preset, d, prep, rho, 0.1, 0.01, stride=10), rho)[0]
                 label = "g" if prep is Preparation.GROUND else "e"
                 p = getattr(rec, f"p_{label}")
                 gain = getattr(rec, f"i_{label}")
@@ -204,7 +203,7 @@ def test_criterion_6_diagonal_rate_equation_equivalence():
         rho = fock_state(d, 3)
         full = np.array(
             [
-                (conditional_state(mg, rho)[1], conditional_state(me, rho)[1])
+                (np.trace(apply_superop(mg, rho)).real, np.trace(apply_superop(me, rho)).real)
                 for mg, me in zip(branch.m_g, branch.m_e)
             ]
         )
@@ -244,14 +243,14 @@ def test_criterion_8_figure_grid_sweep(tmp_path):
     manifest = sweep(configs, tmp_path / "manifest.json")
     problems = []
     for config in configs:
-        csv_lines = open(config.csv_out).read().splitlines()
+        csv_lines = Path(config.csv_out).read_text().splitlines()
         header = csv_lines[0].split(",")
         p_g = np.array([float(line.split(",")[header.index("P_g")]) for line in csv_lines[1:]])
         if abs(p_g[0] - 1.0) > 1e-10:
             problems.append(f"{config.csv_out}: P_g(0) = {p_g[0]}")
         if p_g.min() < -1e-9 or p_g.max() > 1 + 1e-9:
             problems.append(f"{config.csv_out}: P_g range [{p_g.min()}, {p_g.max()}]")
-        if not open(config.svg_out).read().startswith("<svg"):
+        if not Path(config.svg_out).read_text().startswith("<svg"):
             problems.append(f"{config.svg_out}: not an SVG")
     elapsed = time.perf_counter() - t_start
     ok = len(manifest["runs"]) == 12 and not problems and elapsed < 30.0

@@ -207,6 +207,20 @@ class TestPlot:
         with pytest.raises(ConfigError, match="2 data rows"):
             plot(short, ["P_g"])
 
+    @pytest.mark.parametrize("text, column, message", [
+        ("t,P_g,defined_g\n0.0,1.0,true\n1.0,0.9,true\n", "defined_g", "'defined_g', data row 1: need a finite number, found 'true'"),
+        ("t,P_g,P_e\n0.0,1.0,0.0\n1.0,0.9\n", "P_e", "'P_e', data row 2: need a finite number, found no cell"),
+        ("t,P_g\n0.0,1.0\n1.0,nan\n", "P_g", "'P_g', data row 2: need a finite number, found 'nan'"),
+        ("t,P_g\n0.0,1.0\n,0.9\n", "P_g", "'t', data row 2: need a finite number, found ''"),
+    ], ids=["text-cell", "short-row", "nan-cell", "empty-t"])
+    def test_bad_cells_exit_2(self, tmp_path, capsys, text, column, message):
+        csv_path = tmp_path / "in.csv"
+        csv_path.write_text(text)
+        rc = main(["plot", "--csv", str(csv_path), "--out", str(tmp_path / "fig.svg"), "--columns", column])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "fig.svg").exists()
+
 
 class TestSweep:
     def test_figure_grid_files_and_manifest(self, tmp_path):

@@ -88,3 +88,9 @@ def test_density_checks_reject_bad_matrices():
         check_density_matrix(np.diag([0.7, 0.7]))
     with pytest.raises(InvalidStateError):
         check_density_matrix(np.ones((2, 3)))
+
+
+def test_density_check_rejects_nan():
+    # every comparison with NaN is false, so only an explicit finiteness check catches it
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        check_density_matrix(np.array([[np.nan, 0.0], [0.0, np.nan]]))

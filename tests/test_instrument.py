@@ -8,12 +8,11 @@ from cavityprobe.instrument import (
     PositivityError,
     Preparation,
     build_block_generator,
-    conditional_state,
     conditional_trajectories,
     integrate_instrument,
 )
 from cavityprobe.metrics import metrics_series
-from cavityprobe.superop import apply_superop, choi_matrix, identity_superop, sandwich_superop
+from cavityprobe.superop import apply_superop, choi_matrix, identity_superop, sandwich_superop, vec
 from cavityprobe.fock import annihilation_op
 
 STRONG = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
@@ -156,8 +155,7 @@ class TestIntegration:
         rho = fock_state(4, 2)
         records = []
         for p in (STRONG, other):
-            branch = integrate_instrument(p, 4, Preparation.GROUND, 3.0, 0.01, stride=30)
-            records.append(metrics_series(branch, rho))
+            records.append(metrics_series(*conditional_trajectories(p, 4, Preparation.GROUND, rho, 3.0, 0.01, stride=30), rho))
         for rec_a, rec_b in zip(*records):
             for name in ("p_g", "p_e", "i_g", "f_g", "s_g"):
                 va, vb = getattr(rec_a, name), getattr(rec_b, name)
@@ -211,6 +209,10 @@ class TestIntegration:
         with pytest.raises(InvalidStateError):
             conditional_trajectories(STRONG, 2, Preparation.GROUND, np.array([[1.0, 1.0], [0.0, 0.0]]), 0.1, 0.01)
 
+    def test_trajectories_reject_nan_input(self):
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            conditional_trajectories(STRONG, 2, Preparation.GROUND, np.diag([np.nan, np.nan]), 0.1, 0.01)
+
     def test_bad_time_arguments(self):
         with pytest.raises(ValueError):
             integrate_instrument(STRONG, 2, Preparation.GROUND, 0.0, 0.01)
@@ -221,34 +223,44 @@ class TestIntegration:
 
 
 class TestConditionalState:
+    """How metrics_series turns one unnormalized state M rho into an outcome's record."""
+
+    @staticmethod
+    def record(m, rho):
+        """The t = 0 record whose g outcome holds apply_superop(m, rho) and whose e outcome is empty."""
+        y = apply_superop(m, rho)[None]
+        return metrics_series(np.zeros(1), y, np.zeros_like(y), rho)[0]
+
     def test_identity_map_returns_input(self):
-        rho = maximally_mixed(3)
-        out, p = conditional_state(identity_superop(3), rho)
-        assert p == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(out, rho, atol=1e-15)
+        rec = self.record(identity_superop(3), maximally_mixed(3))
+        assert rec.p_g == pytest.approx(1.0, abs=1e-15)
+        assert rec.defined_g is True
+        assert rec.s_g == pytest.approx(np.log2(3), abs=1e-15)
+        assert rec.i_g == pytest.approx(0.0, abs=1e-15)
+        assert rec.f_g == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_map_is_undefined(self):
-        out, p = conditional_state(np.zeros((9, 9)), maximally_mixed(3))
-        assert out is None
-        assert p == 0.0
+        rec = self.record(np.zeros((9, 9)), maximally_mixed(3))
+        assert rec.p_g == 0.0
+        assert rec.defined_g is False
+        assert rec.i_g is None and rec.f_g is None and rec.s_g is None
 
     def test_jump_map_on_one_photon(self):
         a = annihilation_op(2)
-        out, p = conditional_state(sandwich_superop(a, a.conj().T), fock_state(2, 1))
-        assert p == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(out, fock_state(2, 0), atol=1e-15)
+        rec = self.record(sandwich_superop(a, a.conj().T), fock_state(2, 1))
+        assert rec.p_g == pytest.approx(1.0, abs=1e-15)
+        assert rec.s_g == pytest.approx(0.0, abs=1e-15)
+        # the state moved to |0><0|, orthogonal to the input |1><1|
+        assert rec.f_g == pytest.approx(0.0, abs=1e-15)
 
     def test_negative_probability_raises(self):
         with pytest.raises(PositivityError):
-            conditional_state(-identity_superop(2), maximally_mixed(2))
+            self.record(-identity_superop(2), maximally_mixed(2))
 
     def test_result_is_rehermitized(self):
-        from cavityprobe.superop import vec
-
         skew = np.array([[0.0, 1e-12 + 2e-12j], [-1e-12 + 2e-12j, 0.0]])
         target = maximally_mixed(2) + skew  # traceless skew part, real trace
-        s = np.outer(vec(target), vec(np.eye(2)))
-        out, p = conditional_state(s, maximally_mixed(2))
-        assert p == pytest.approx(1.0, abs=1e-14)
-        assert np.max(np.abs(out - out.conj().T)) == 0.0
-        assert np.max(np.abs(out - maximally_mixed(2))) < 1e-11
+        rec = self.record(np.outer(vec(target), vec(np.eye(2))), maximally_mixed(2))
+        assert rec.p_g == pytest.approx(1.0, abs=1e-14)
+        assert rec.s_g == pytest.approx(1.0, abs=1e-11)
+        assert rec.f_g == pytest.approx(1.0, abs=1e-11)

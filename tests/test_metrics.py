@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cavityprobe.fock import InvalidStateError, fock_state, maximally_mixed
-from cavityprobe.instrument import ModelParams, Preparation, integrate_instrument
+from cavityprobe.instrument import ModelParams, Preparation, conditional_trajectories
 from cavityprobe.metrics import (
     info_gain,
     metrics_series,
@@ -47,6 +47,10 @@ class TestEntropy:
     def test_rejects_deeply_negative_eigenvalues(self):
         with pytest.raises(InvalidStateError):
             von_neumann_entropy(np.diag([1.1, -0.1]))
+
+    def test_rejects_nan_eigenvalues(self):
+        with pytest.raises(InvalidStateError):
+            von_neumann_entropy(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_clamps_roundoff_negatives(self):
         rho = np.diag([1.0, -5e-11])
@@ -116,8 +120,8 @@ class TestMatrixRoot:
 
 class TestMetricsSeries:
     def test_time_zero_record_ground_prep(self):
-        branch = integrate_instrument(STRONG, 3, Preparation.GROUND, 1.0, 0.01, stride=10)
-        rec = metrics_series(branch, maximally_mixed(3))[0]
+        rho = maximally_mixed(3)
+        rec = metrics_series(*conditional_trajectories(STRONG, 3, Preparation.GROUND, rho, 1.0, 0.01, stride=10), rho)[0]
         assert rec.t == 0.0
         assert rec.p_g == pytest.approx(1.0, abs=1e-10)
         assert rec.i_g == pytest.approx(0.0, abs=1e-10)
@@ -127,8 +131,8 @@ class TestMetricsSeries:
         assert rec.i_e is None and rec.f_e is None and rec.s_e is None
 
     def test_pure_initial_state_never_gains_information(self):
-        branch = integrate_instrument(STRONG, 4, Preparation.GROUND, 5.0, 0.01, stride=25)
-        records = metrics_series(branch, fock_state(4, 3))
+        rho = fock_state(4, 3)
+        records = metrics_series(*conditional_trajectories(STRONG, 4, Preparation.GROUND, rho, 5.0, 0.01, stride=25), rho)
         for rec in records:
             for gain in (rec.i_g, rec.i_e):
                 if gain is not None:
@@ -136,8 +140,8 @@ class TestMetricsSeries:
 
     def test_mixed_initial_state_gain_equals_entropy_drop(self):
         d = 4
-        branch = integrate_instrument(STRONG, d, Preparation.GROUND, 3.0, 0.01, stride=30)
-        records = metrics_series(branch, maximally_mixed(d))
+        rho = maximally_mixed(d)
+        records = metrics_series(*conditional_trajectories(STRONG, d, Preparation.GROUND, rho, 3.0, 0.01, stride=30), rho)
         for rec in records:
             for gain, entropy in ((rec.i_g, rec.s_g), (rec.i_e, rec.s_e)):
                 if gain is not None:
@@ -145,12 +149,12 @@ class TestMetricsSeries:
 
     def test_rejects_non_density_input(self):
         # Hermitian part is a valid state, so only the entry check catches it
-        branch = integrate_instrument(STRONG, 2, Preparation.GROUND, 0.1, 0.01)
+        trajectories = conditional_trajectories(STRONG, 2, Preparation.GROUND, maximally_mixed(2), 0.1, 0.01)
         with pytest.raises(InvalidStateError, match="Hermitian"):
-            metrics_series(branch, np.array([[0.5, 0.1j], [0.1j, 0.5]]))
+            metrics_series(*trajectories, np.array([[0.5, 0.1j], [0.1j, 0.5]]))
 
     def test_probabilities_lie_in_unit_interval(self):
-        branch = integrate_instrument(STRONG, 3, Preparation.EXCITED, 8.0, 0.01, stride=40)
-        for rec in metrics_series(branch, maximally_mixed(3)):
+        rho = maximally_mixed(3)
+        for rec in metrics_series(*conditional_trajectories(STRONG, 3, Preparation.EXCITED, rho, 8.0, 0.01, stride=40), rho):
             assert -1e-12 <= rec.p_g <= 1 + 1e-9
             assert -1e-12 <= rec.p_e <= 1 + 1e-9

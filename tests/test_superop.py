@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from cavityprobe.fock import TruncationMode, annihilation_op, fock_state, maximally_mixed
+from cavityprobe.fock import TruncationMode, annihilation_op, fock_state, maximally_mixed, quadratic_ops
 from cavityprobe.superop import (
     apply_superop,
     choi_matrix,
     identity_superop,
     sandwich_superop,
-    su11_generators,
     superop_dim,
     unvec,
     vec,
@@ -85,13 +84,23 @@ def test_apply_is_linear():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+def ladder_superops(d):
+    """K0 X = (a+a X + X a a+)/2 with a a+ = a+a + 1, K+ X = a+ X a, K- X = a X a+, and N X = [a+a, X]."""
+    a = annihilation_op(d)
+    n_op, aad_op = quadratic_ops(d, TruncationMode.ALGEBRAIC_CLOSURE)
+    eye = np.eye(d, dtype=complex)
+    k0 = 0.5 * (sandwich_superop(n_op, eye) + sandwich_superop(eye, aad_op))
+    n_comm = sandwich_superop(n_op, eye) - sandwich_superop(eye, n_op)
+    return k0, sandwich_superop(a.conj().T, a), sandwich_superop(a, a.conj().T), n_comm
+
+
 def test_su11_pointwise_actions():
-    k0, kplus, kminus, n_comm = su11_generators(2, TruncationMode.ALGEBRAIC_CLOSURE)
+    k0, kplus, kminus, n_comm = ladder_superops(2)
     vac = fock_state(2, 0)
     assert np.allclose(apply_superop(k0, vac), 0.5 * vac, atol=1e-15)
     assert np.allclose(apply_superop(kminus, fock_state(2, 1)), vac, atol=1e-15)
     for d in (2, 4, 5):
-        _, _, _, n_comm = su11_generators(d)
+        _, _, _, n_comm = ladder_superops(d)
         rng = np.random.default_rng(d)
         diag = np.diag(rng.normal(size=d)).astype(complex)
         assert np.max(np.abs(apply_superop(n_comm, diag))) < 1e-15
@@ -102,8 +111,8 @@ def test_su11_commutation_on_interior_support(d):
     """[K+, K-] = -2 K0' and [K0', K+] = K+ on operands clear of the cutoff,
     where K0' X = (nX + Xn)/2 + X/2."""
     k0_prime = None
-    k0, kplus, kminus, _ = su11_generators(d, TruncationMode.ALGEBRAIC_CLOSURE)
-    n_op, _ = __import__("cavityprobe.fock", fromlist=["quadratic_ops"]).quadratic_ops(d)
+    k0, kplus, kminus, _ = ladder_superops(d)
+    n_op, _ = quadratic_ops(d)
     eye = np.eye(d, dtype=complex)
     k0_prime = 0.5 * (sandwich_superop(n_op, eye) + sandwich_superop(eye, n_op)) + 0.5 * identity_superop(d)
 
@@ -122,7 +131,7 @@ def test_su11_commutation_on_interior_support(d):
 def test_trace_identities(d):
     a = annihilation_op(d)
     adag = a.conj().T
-    k0, kplus, kminus, n_comm = su11_generators(d)
+    k0, kplus, kminus, n_comm = ladder_superops(d)
     rng = np.random.default_rng(40 + d)
     for _ in range(4):
         y = rand_matrix(rng, d)
