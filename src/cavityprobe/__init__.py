@@ -21,7 +21,6 @@ from .instrument import (
     DivergenceError,
     InstrumentBranch,
     ModelParams,
-    PositivityError,
     Preparation,
     build_block_generator,
     conditional_trajectories,
@@ -29,14 +28,13 @@ from .instrument import (
 )
 from .metrics import (
     MetricsRecord,
-    info_gain,
+    PositivityError,
     metrics_series,
     sqrtm_psd,
     uhlmann_fidelity,
     von_neumann_entropy,
 )
 from .oracle import (
-    evolve_joint,
     extract_instrument_oracle,
     joint_hamiltonian,
     joint_liouvillian,
@@ -46,7 +44,6 @@ from .oracle import (
 from .superop import (
     apply_superop,
     choi_matrix,
-    identity_superop,
     sandwich_superop,
     superop_dim,
     unvec,

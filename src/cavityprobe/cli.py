@@ -23,13 +23,12 @@ from .fock import InvalidStateError, TruncationMode, fock_state, maximally_mixed
 from .instrument import (
     DivergenceError,
     ModelParams,
-    PositivityError,
     Preparation,
     _n_steps,
     conditional_trajectories,
 )
 from .instrument import integrate_instrument  # noqa: F401  perfbench's figure-grid trace rebinds this name
-from .metrics import MetricsRecord, metrics_series
+from .metrics import MetricsRecord, PositivityError, metrics_series
 from .oracle import dt_limit, secular_residual
 
 __all__ = [
@@ -492,6 +491,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; lower d (the generator has (2 d^2)^2 entries)", file=sys.stderr)
         return 2
     except (DivergenceError, PositivityError, InvalidStateError, SweepError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -21,21 +21,17 @@ from enum import Enum
 import numpy as np
 
 from .fock import TruncationMode, annihilation_op, check_density_matrix, quadratic_ops
-from .superop import identity_superop, sandwich_superop, vec
+from .superop import sandwich_superop, vec
 
 __all__ = [
     "DivergenceError",
-    "PositivityError",
     "Preparation",
     "ModelParams",
     "InstrumentBranch",
-    "P_FLOOR",
     "build_block_generator",
     "integrate_instrument",
     "conditional_trajectories",
 ]
-
-P_FLOOR = 1e-12
 
 
 class DivergenceError(RuntimeError):
@@ -44,10 +40,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, t: float, detail: str = "non-finite values"):
         self.t = t
         super().__init__(f"integration diverged at t={t:.6g}: {detail}")
-
-
-class PositivityError(RuntimeError):
-    """An outcome probability came out significantly negative."""
 
 
 class Preparation(Enum):
@@ -130,8 +122,8 @@ class InstrumentBranch:
 
 def build_block_generator(
     p: ModelParams, d: int, mode: TruncationMode = TruncationMode.ALGEBRAIC_CLOSURE
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Blocks (G_gg, G_ge, G_eg, G_ee) of the outcome-resolved generator.
+) -> np.ndarray:
+    """Outcome-resolved generator [[G_gg, G_ge], [G_eg, G_ee]] on the stacked pair (vec M_g, vec M_e).
 
     With r = 2 * kappa * gamma_big, the ladder sandwiches K+ X = a+ X a and
     K- X = a X a+, and the number commutator N X = [a+a, X]:
@@ -153,31 +145,32 @@ def build_block_generator(
     anti_n, anti_aad = (0.5 * np.add.outer(x, x).ravel() for x in (n, aad))
     rotation = 1j * p.kappa * p.delta * np.subtract.outer(n, n).T.ravel()
     rate = p.field_rate
-    ident = identity_superop(d)
+    ident = np.eye(d * d, dtype=complex)
     g_gg = np.diag(-(rate * anti_n - rotation + p.gamma_ge))
     g_ge = rate * sandwich_superop(a.conj().T, a) + p.gamma_eg * ident
     g_eg = rate * sandwich_superop(a, a.conj().T) + p.gamma_ge * ident
     g_ee = np.diag(-(rate * anti_aad + rotation + p.gamma_eg))
-    return g_gg, g_ge, g_eg, g_ee
+    return np.block([[g_gg, g_ge], [g_eg, g_ee]])
 
 
 def _n_steps(t_max: float, dt: float) -> int:
     """Number of RK4 steps of size dt that reach t_max exactly."""
-    if not (dt > 0 and t_max > 0 and dt <= t_max):
-        raise ValueError(f"need 0 < dt <= t_max, got dt={dt}, t_max={t_max}")
+    if not (dt > 0 and dt <= t_max < np.inf):
+        raise ValueError(f"need finite 0 < dt <= t_max, got dt={dt}, t_max={t_max}")
     n_steps = int(round(t_max / dt))
     if abs(n_steps * dt - t_max) > 1e-9 * t_max:
         raise ValueError(f"t_max={t_max} is not a whole number of dt={dt} steps; make t_max a multiple of dt")
     return n_steps
 
 
-def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, n_steps: int, dt: float, stride: int):
-    """Fixed-step RK4 on d/dt y = matrix @ y, sampling every `stride` steps.
+def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, t_max: float, dt: float, stride: int):
+    """Fixed-step RK4 on d/dt y = matrix @ y up to t_max, sampling every `stride` steps.
 
     The final step is always included.  Returns (times, samples).
     """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    n_steps = _n_steps(t_max, dt)
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValueError(f"stride must be a positive integer, got {stride!r}")
     state = state0.astype(complex)
     times = [0.0]
     samples = [state.copy()]
@@ -209,12 +202,9 @@ def _propagate_blocks(
 
     Returns (times, g samples, e samples); each sample has field0's shape.
     """
-    n_steps = _n_steps(t_max, dt)
-    g_gg, g_ge, g_eg, g_ee = build_block_generator(p, d, mode)
-    matrix = np.block([[g_gg, g_ge], [g_eg, g_ee]])
     zero = np.zeros_like(field0)
     pair = (field0, zero) if Preparation(prep) is Preparation.GROUND else (zero, field0)
-    times, samples = _rk4_sampled(matrix, np.concatenate(pair), n_steps, dt, stride)
+    times, samples = _rk4_sampled(build_block_generator(p, d, mode), np.concatenate(pair), t_max, dt, stride)
     return times, samples[:, : d * d], samples[:, d * d :]
 
 
@@ -232,7 +222,7 @@ def integrate_instrument(
     Classical fixed-step RK4; deterministic for fixed inputs.  t_max must be
     a whole number of steps of size dt.
     """
-    times, m_g, m_e = _propagate_blocks(p, d, prep, identity_superop(d), t_max, dt, mode, stride)
+    times, m_g, m_e = _propagate_blocks(p, d, prep, np.eye(d * d, dtype=complex), t_max, dt, mode, stride)
     return InstrumentBranch(prep=Preparation(prep), times=times, m_g=m_g, m_e=m_e)
 
 

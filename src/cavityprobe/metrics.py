@@ -10,16 +10,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import InvalidStateError, check_density_matrix
-from .instrument import P_FLOOR, PositivityError
 
 __all__ = [
+    "P_FLOOR",
+    "PositivityError",
     "MetricsRecord",
     "von_neumann_entropy",
-    "info_gain",
     "uhlmann_fidelity",
     "sqrtm_psd",
     "metrics_series",
 ]
+
+P_FLOOR = 1e-12
+
+
+class PositivityError(RuntimeError):
+    """An outcome probability came out significantly negative."""
 
 
 def _checked_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -47,11 +53,6 @@ def von_neumann_entropy(rho: np.ndarray, base: float = 2.0):
     logs = np.log(vals, out=np.zeros_like(vals), where=vals > 0.0)
     entropy = -np.sum(vals * logs, axis=-1) / np.log(base)
     return entropy if entropy.ndim else float(entropy)
-
-
-def info_gain(rho_before: np.ndarray, rho_after: np.ndarray, base: float = 2.0) -> float:
-    """Entropy of the input minus entropy of the output (positive = sharpening)."""
-    return von_neumann_entropy(rho_before, base) - von_neumann_entropy(rho_after, base)
 
 
 def sqrtm_psd(rho: np.ndarray) -> np.ndarray:

@@ -12,8 +12,7 @@ frame V = exp(-i delta t |e><e|) it does not: the generator is the constant
 joint_liouvillian(p, d, 0) - i delta [|e><e|, .], which the same fixed-step
 RK4 loop as the reduced model integrates.  The frame only rotates the
 atomic coherences, so the gg and ee blocks (and with them the outcome maps)
-are unchanged; going back to the lab frame multiplies the eg block by
-e^{+i delta t} and the ge block by e^{-i delta t}.
+are unchanged.
 
 The atomic dissipator carries the two population channels at gamma_ge and
 gamma_eg plus a pure dephasing channel sized so the total coherence decay
@@ -32,18 +31,16 @@ from .instrument import (
     InstrumentBranch,
     ModelParams,
     Preparation,
-    _n_steps,
     _rk4_sampled,
     integrate_instrument,
 )
-from .superop import sandwich_superop, vec
+from .superop import sandwich_superop
 
 __all__ = [
     "pure_dephasing_rate",
     "dt_limit",
     "joint_hamiltonian",
     "joint_liouvillian",
-    "evolve_joint",
     "extract_instrument_oracle",
     "secular_residual",
 ]
@@ -96,41 +93,6 @@ def dt_limit(p: ModelParams) -> float:
     return 0.01 / max(abs(p.delta), p.omega, p.gamma_big, 1.0)
 
 
-def _evolve_frame(p: ModelParams, d: int, columns: np.ndarray, t_max: float, dt: float, stride: int):
-    """RK4 of vec(joint state) columns under the constant atom-frame generator."""
-    limit = dt_limit(p)
-    if dt > limit * (1 + 1e-12):
-        raise ValueError(f"dt={dt} too coarse for these rates; need dt <= {limit:.6g}")
-    n_steps = _n_steps(t_max, dt)
-    excited = np.kron(np.diag([0.0, 1.0]), np.eye(d)).astype(complex)
-    eye = np.eye(2 * d, dtype=complex)
-    generator = joint_liouvillian(p, d, 0.0) - 1j * p.delta * (
-        sandwich_superop(excited, eye) - sandwich_superop(eye, excited)
-    )
-    times, samples = _rk4_sampled(generator, columns, n_steps, dt, stride)
-    traces = samples[:, np.arange(2 * d) * (2 * d + 1)].sum(axis=1)
-    drift = np.abs(traces - traces[0]).reshape(len(times), -1).max(axis=1)
-    bad = np.flatnonzero(drift > 1e-9)
-    if bad.size:
-        raise DivergenceError(times[bad[0]], f"trace drifted by {drift[bad[0]]:.3e}")
-    return times, samples
-
-
-def evolve_joint(
-    p: ModelParams, d: int, rho0: np.ndarray, t_max: float, dt: float, stride: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve one joint 2d x 2d state; returns (times, states of shape (T, 2d, 2d))."""
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (2 * d, 2 * d):
-        raise ValueError(f"joint state shape {rho0.shape} does not match 2d={2 * d}")
-    times, samples = _evolve_frame(p, d, vec(rho0), t_max, dt, stride)
-    states = samples.reshape(len(times), 2 * d, 2 * d).transpose(0, 2, 1)
-    phase = np.exp(1j * p.delta * times)[:, None, None]
-    states[:, d:, :d] *= phase
-    states[:, :d, d:] *= phase.conj()
-    return times, states
-
-
 def _block_rows(atom: int, d: int) -> np.ndarray:
     """Positions in vec(joint state) of the field block <atom|rho|atom>, in vec order."""
     field = atom * d + np.arange(d)
@@ -145,13 +107,28 @@ def extract_instrument_oracle(
     Each field matrix unit |m><n|, paired with the pointer preparation, is
     evolved jointly; projecting the pointer on |g> / |e> and tracing it out
     yields one column of the corresponding map.  Linearity of the evolution
-    makes the column-by-column assembly exact.
+    makes the column-by-column assembly exact.  Raises ValueError when dt
+    exceeds dt_limit(p), and DivergenceError when a column's trace drifts by
+    more than 1e-9.
     """
     prep = Preparation(prep)
+    limit = dt_limit(p)
+    if dt > limit * (1 + 1e-12):
+        raise ValueError(f"dt={dt} too coarse for these rates; need dt <= {limit:.6g}")
+    excited = np.kron(np.diag([0.0, 1.0]), np.eye(d)).astype(complex)
+    eye = np.eye(2 * d, dtype=complex)
+    generator = joint_liouvillian(p, d, 0.0) - 1j * p.delta * (
+        sandwich_superop(excited, eye) - sandwich_superop(eye, excited)
+    )
     g_rows, e_rows = _block_rows(0, d), _block_rows(1, d)
     columns = np.zeros((4 * d * d, d * d), dtype=complex)
     columns[g_rows if prep is Preparation.GROUND else e_rows, np.arange(d * d)] = 1.0
-    times, samples = _evolve_frame(p, d, columns, t_max, dt, stride)
+    times, samples = _rk4_sampled(generator, columns, t_max, dt, stride)
+    traces = samples[:, np.arange(2 * d) * (2 * d + 1)].sum(axis=1)
+    drift = np.abs(traces - traces[0]).max(axis=1)
+    bad = np.flatnonzero(drift > 1e-9)
+    if bad.size:
+        raise DivergenceError(times[bad[0]], f"trace drifted by {drift[bad[0]]:.3e}")
     return InstrumentBranch(prep=prep, times=times, m_g=samples[:, g_rows], m_e=samples[:, e_rows])
 
 

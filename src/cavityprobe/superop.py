@@ -17,7 +17,6 @@ __all__ = [
     "vec",
     "unvec",
     "superop_dim",
-    "identity_superop",
     "sandwich_superop",
     "apply_superop",
     "choi_matrix",
@@ -47,10 +46,6 @@ def superop_dim(s: np.ndarray) -> int:
     if d * d != s.shape[0]:
         raise ValueError(f"superoperator size {s.shape[0]} is not a perfect square")
     return d
-
-
-def identity_superop(d: int) -> np.ndarray:
-    return np.eye(d * d, dtype=complex)
 
 
 def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:

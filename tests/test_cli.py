@@ -271,6 +271,15 @@ class TestMainExitCodes:
         path = write_config(tmp_path, csv_out=str(tmp_path / "missing" / "out.csv"))
         assert main(["run", "--config", str(path)]) == 4
 
+    def test_memory_error_is_2(self, tmp_path, capsys, monkeypatch):
+        # A real allocation failure depends on the machine's overcommit policy, so fake it.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("cavityprobe.cli.conditional_trajectories", out_of_memory)
+        assert main(["run", "--config", str(write_config(tmp_path))]) == 2
+        assert "lower d" in capsys.readouterr().err
+
     def test_oracle_flag_reports_residual(self, tmp_path, capsys):
         path = write_config(tmp_path, preset=None, omega=0.05, delta=0.5, gamma_big=1.0,
                             gamma_ge=0.0, gamma_eg=0.05, d=2, t_max=1.0)

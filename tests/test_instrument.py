@@ -5,14 +5,14 @@ from cavityprobe.fock import InvalidStateError, TruncationMode, fock_state, maxi
 from cavityprobe.instrument import (
     DivergenceError,
     ModelParams,
-    PositivityError,
     Preparation,
     build_block_generator,
     conditional_trajectories,
     integrate_instrument,
 )
-from cavityprobe.metrics import metrics_series
-from cavityprobe.superop import apply_superop, choi_matrix, identity_superop, sandwich_superop, vec
+from cavityprobe.metrics import PositivityError, metrics_series
+from cavityprobe.oracle import extract_instrument_oracle
+from cavityprobe.superop import apply_superop, choi_matrix, sandwich_superop, vec
 from cavityprobe.fock import annihilation_op
 
 STRONG = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
@@ -59,19 +59,21 @@ class TestModelParams:
 class TestBlockGenerator:
     def test_d1_ground_branch_is_frozen(self):
         p = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.0, gamma_eg=1.0)
-        g_gg, g_ge, g_eg, g_ee = build_block_generator(p, 1)
-        assert np.all(g_gg == 0)
-        assert np.all(g_eg == 0)
+        (g_gg, g_ge), (g_eg, g_ee) = build_block_generator(p, 1)
+        assert g_gg == 0
+        assert g_eg == 0
         # excited branch decays and only the atomic channel flows back
-        assert abs(g_ge[0, 0] - p.gamma_eg) < 1e-15
-        assert abs(g_ee[0, 0] + (p.field_rate + p.gamma_eg)) < 1e-15
+        assert abs(g_ge - p.gamma_eg) < 1e-15
+        assert abs(g_ee + (p.field_rate + p.gamma_eg)) < 1e-15
 
     def test_blocks_real_on_diagonal_operands(self):
         rng = np.random.default_rng(5)
         d = 5
-        blocks = build_block_generator(STRONG, d)
+        generator = build_block_generator(STRONG, d)
+        assert generator.shape == (2 * d * d, 2 * d * d)
         diag = np.diag(rng.uniform(size=d)).astype(complex)
-        for block in blocks:
+        halves = (slice(None, d * d), slice(d * d, None))
+        for block in (generator[rows, cols] for rows in halves for cols in halves):
             image = apply_superop(block, diag)
             assert np.max(np.abs(image.imag)) < 1e-15
             assert np.max(np.abs(image - np.diag(np.diag(image)))) < 1e-15
@@ -88,7 +90,7 @@ class TestIntegration:
             (Preparation.EXCITED, "m_e", "m_g"),
         ):
             branch = integrate_instrument(STRONG, 3, prep, 0.1, 0.01)
-            assert np.array_equal(getattr(branch, first)[0], identity_superop(3))
+            assert np.array_equal(getattr(branch, first)[0], np.eye(9))
             assert np.array_equal(getattr(branch, other)[0], np.zeros((9, 9)))
             assert branch.times[0] == 0.0
 
@@ -220,6 +222,17 @@ class TestIntegration:
             integrate_instrument(STRONG, 2, Preparation.GROUND, 1.0, 2.0)
         with pytest.raises(ValueError):
             integrate_instrument(STRONG, 2, Preparation.GROUND, 1.0, 0.01, stride=0)
+        inf = float("inf")
+        with pytest.raises(ValueError, match="finite"):
+            integrate_instrument(STRONG, 2, Preparation.GROUND, inf, 0.01)
+        with pytest.raises(ValueError, match="finite"):
+            conditional_trajectories(STRONG, 2, Preparation.GROUND, maximally_mixed(2), inf, 0.01)
+        with pytest.raises(ValueError, match="finite"):
+            extract_instrument_oracle(STRONG, 2, Preparation.GROUND, inf, 0.005)
+        # a fractional or boolean stride would silently change the sampling
+        for stride in (2.5, True):
+            with pytest.raises(ValueError, match="stride"):
+                integrate_instrument(STRONG, 2, Preparation.GROUND, 0.1, 0.01, stride=stride)
 
 
 class TestConditionalState:
@@ -232,7 +245,7 @@ class TestConditionalState:
         return metrics_series(np.zeros(1), y, np.zeros_like(y), rho)[0]
 
     def test_identity_map_returns_input(self):
-        rec = self.record(identity_superop(3), maximally_mixed(3))
+        rec = self.record(np.eye(9), maximally_mixed(3))
         assert rec.p_g == pytest.approx(1.0, abs=1e-15)
         assert rec.defined_g is True
         assert rec.s_g == pytest.approx(np.log2(3), abs=1e-15)
@@ -255,7 +268,7 @@ class TestConditionalState:
 
     def test_negative_probability_raises(self):
         with pytest.raises(PositivityError):
-            self.record(-identity_superop(2), maximally_mixed(2))
+            self.record(-np.eye(4), maximally_mixed(2))
 
     def test_result_is_rehermitized(self):
         skew = np.array([[0.0, 1e-12 + 2e-12j], [-1e-12 + 2e-12j, 0.0]])

@@ -4,7 +4,6 @@ import pytest
 from cavityprobe.fock import InvalidStateError, fock_state, maximally_mixed
 from cavityprobe.instrument import ModelParams, Preparation, conditional_trajectories
 from cavityprobe.metrics import (
-    info_gain,
     metrics_series,
     sqrtm_psd,
     uhlmann_fidelity,
@@ -55,18 +54,6 @@ class TestEntropy:
     def test_clamps_roundoff_negatives(self):
         rho = np.diag([1.0, -5e-11])
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-8)
-
-
-class TestInfoGain:
-    def test_identical_states_give_zero(self):
-        rho = maximally_mixed(3)
-        assert info_gain(rho, rho) == 0.0
-
-    def test_purification_gains_one_bit(self):
-        assert info_gain(maximally_mixed(2), fock_state(2, 0)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_mixing_loses_one_bit(self):
-        assert info_gain(fock_state(2, 1), maximally_mixed(2)) == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestFidelity:

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cavityprobe.fock import fock_state, maximally_mixed
 from cavityprobe.instrument import ModelParams, Preparation, integrate_instrument
 from cavityprobe.oracle import (
-    evolve_joint,
     extract_instrument_oracle,
     joint_hamiltonian,
     joint_liouvillian,
     pure_dephasing_rate,
     secular_residual,
 )
-from cavityprobe.superop import apply_superop
+from cavityprobe.superop import apply_superop, unvec, vec
 
 STRONG = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
 
@@ -25,12 +25,6 @@ def rand_density(rng, d):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = m @ m.conj().T
     return rho / np.trace(rho)
-
-
-def joint_ground_vacuum(d):
-    rho = np.zeros((2 * d, 2 * d), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
 
 
 def test_dephasing_tops_up_to_gamma_big():
@@ -62,68 +56,93 @@ def test_liouvillian_is_trace_free():
         assert abs(np.trace(apply_superop(lv, x))) < 1e-12
 
 
+def lab_frame_rk4(p, d, rho0, t_max, dt, stride):
+    """Joint states from RK4 on the time-dependent lab-frame generator joint_liouvillian(p, d, t)."""
+    v = vec(rho0)
+    states = [rho0]
+    start = joint_liouvillian(p, d, 0.0)
+    for k in range(1, round(t_max / dt) + 1):
+        # Each step needs the generator at its start, middle and end; the end is the next start.
+        mid, end = joint_liouvillian(p, d, (k - 0.5) * dt), joint_liouvillian(p, d, k * dt)
+        k1 = start @ v
+        k2 = mid @ (v + 0.5 * dt * k1)
+        k3 = mid @ (v + 0.5 * dt * k2)
+        k4 = end @ (v + dt * k3)
+        v = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        start = end
+        if k % stride == 0:
+            states.append(unvec(v))
+    return np.stack(states)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.floats(-5.0, 5.0), st.sampled_from(Preparation), st.integers(0, 2**32 - 1))
+@example(0.5, Preparation.GROUND, 77)
+@example(-3.0, Preparation.GROUND, 77)
+@example(4.36, Preparation.GROUND, 77)
+def test_extracted_maps_match_lab_frame_rk4(delta, prep, seed):
+    """The atom-frame oracle's maps, applied to a random field state, against
+    the pointer blocks of RK4 on the time-dependent lab-frame generator."""
+    p = ModelParams(omega=0.7, delta=delta, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
+    assert_maps_match_lab_frame(p, 3, prep, rand_density(np.random.default_rng(seed), 3), 0.5, 0.002, 50)
+
+
+def assert_maps_match_lab_frame(p, d, prep, rho_f, t_max, dt, stride):
+    pointer = np.diag([1.0, 0.0] if prep is Preparation.GROUND else [0.0, 1.0])
+    states = lab_frame_rk4(p, d, np.kron(pointer, rho_f), t_max, dt, stride)
+    branch = extract_instrument_oracle(p, d, prep, t_max, dt, stride)
+    assert len(states) == len(branch.times)
+    for state, m_g, m_e in zip(states, branch.m_g, branch.m_e):
+        assert np.max(np.abs(apply_superop(m_g, rho_f) - state[:d, :d])) < 1e-10
+        assert np.max(np.abs(apply_superop(m_e, rho_f) - state[d:, d:])) < 1e-10
+
+
 @pytest.mark.parametrize("delta", [0.5, -3.0, 4.36])
 def test_evolve_joint_matches_lab_frame_rk4(delta):
-    """The rotating-frame solver against RK4 on the time-dependent lab generator."""
-    rng = np.random.default_rng(77)
-    d, dt, stride = 3, 0.002, 100
+    """The excited branch's joint evolution, read through the extracted maps,
+    against RK4 on the time-dependent lab-frame generator."""
     p = ModelParams(omega=0.7, delta=delta, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
-    rho0 = rand_density(rng, 2 * d)
-    times, states = evolve_joint(p, d, rho0, 1.0, dt, stride=stride)
-
-    def rhs(t, v):
-        return joint_liouvillian(p, d, t) @ v
-
-    v = rho0.reshape(-1, order="F")
-    reference = [rho0]
-    for k in range(len(times[1:]) * stride):
-        t = k * dt
-        k1 = rhs(t, v)
-        k2 = rhs(t + 0.5 * dt, v + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, v + 0.5 * dt * k2)
-        k4 = rhs(t + dt, v + dt * k3)
-        v = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (k + 1) % stride == 0:
-            reference.append(v.reshape(2 * d, 2 * d, order="F"))
-    assert np.max(np.abs(states - np.stack(reference))) < 1e-10
+    rho_f = rand_density(np.random.default_rng(77), 3)
+    assert_maps_match_lab_frame(p, 3, Preparation.EXCITED, rho_f, 0.5, 0.002, 50)
 
 
 def test_ground_vacuum_is_dark_without_reexcitation():
     p = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.0, gamma_eg=1.0)
-    rho0 = joint_ground_vacuum(2)
-    times, states = evolve_joint(p, 2, rho0, 3.0, 0.005, stride=100)
-    assert np.max(np.abs(states - rho0)) < 1e-12
+    vacuum = fock_state(2, 0)
+    branch = extract_instrument_oracle(p, 2, Preparation.GROUND, 3.0, 0.005, stride=100)
+    for m_g, m_e in zip(branch.m_g, branch.m_e):
+        assert np.max(np.abs(apply_superop(m_g, vacuum) - vacuum)) < 1e-12
+        assert np.max(np.abs(apply_superop(m_e, vacuum))) < 1e-12
 
 
 def test_pure_atomic_decay_without_coupling():
     p = ModelParams(omega=0.0, delta=0.5, gamma_big=2.0, gamma_ge=0.0, gamma_eg=0.8)
     d = 2
     rho_f = maximally_mixed(d)
-    excited = np.zeros((2, 2), dtype=complex)
-    excited[1, 1] = 1.0
-    rho0 = np.kron(excited, rho_f)
-    times, states = evolve_joint(p, d, rho0, 4.0, 0.005, stride=50)
-    for t, state in zip(times, states):
-        p_e = np.trace(state[d:, d:]).real
-        assert abs(p_e - np.exp(-p.gamma_eg * t)) < 1e-9
+    branch = extract_instrument_oracle(p, d, Preparation.EXCITED, 4.0, 0.005, stride=50)
+    for t, m_g, m_e in zip(branch.times, branch.m_g, branch.m_e):
+        y_g, y_e = apply_superop(m_g, rho_f), apply_superop(m_e, rho_f)
+        assert abs(np.trace(y_e).real - np.exp(-p.gamma_eg * t)) < 1e-9
         # the field factor is untouched
-        total_field = state[:d, :d] + state[d:, d:]
-        assert np.max(np.abs(total_field - rho_f)) < 1e-9
+        assert np.max(np.abs(y_g + y_e - rho_f)) < 1e-9
 
 
 def test_evolution_preserves_trace_and_positivity():
     rng = np.random.default_rng(13)
     d = 3
-    rho0 = np.kron(np.diag([0.4, 0.6]).astype(complex), rand_density(rng, d))
-    times, states = evolve_joint(STRONG, d, rho0, 3.0, 0.005, stride=60)
-    for state in states:
-        assert abs(np.trace(state) - 1.0) < 1e-9
-        assert np.linalg.eigvalsh(0.5 * (state + state.conj().T)).min() > -1e-10
+    rho_f = rand_density(rng, d)
+    for prep in Preparation:
+        branch = extract_instrument_oracle(STRONG, d, prep, 3.0, 0.005, stride=60)
+        for m_g, m_e in zip(branch.m_g, branch.m_e):
+            y_g, y_e = apply_superop(m_g, rho_f), apply_superop(m_e, rho_f)
+            assert abs(np.trace(y_g + y_e) - 1.0) < 1e-9
+            for y in (y_g, y_e):
+                assert np.linalg.eigvalsh(0.5 * (y + y.conj().T)).min() > -1e-10
 
 
 def test_dt_limit_enforced():
-    with pytest.raises(ValueError):
-        evolve_joint(STRONG, 2, joint_ground_vacuum(2), 1.0, 0.05)
+    with pytest.raises(ValueError, match="too coarse"):
+        extract_instrument_oracle(STRONG, 2, Preparation.GROUND, 1.0, 0.05)
 
 
 def test_extraction_initial_condition():
@@ -145,17 +164,18 @@ def test_extracted_outcome_maps_sum_to_trace_preserving():
 
 
 def test_extraction_is_linear():
+    """The maps extracted column by column act on a field state as the joint
+    evolution of that state does, and on a mixture as the mixture of their actions."""
     rng = np.random.default_rng(4)
     d = 3
-    rho_f = rand_density(rng, d)
+    rho_f, sigma_f = rand_density(rng, d), rand_density(rng, d)
+    assert_maps_match_lab_frame(STRONG, d, Preparation.GROUND, rho_f, 1.0, 0.005, 40)
     branch = extract_instrument_oracle(STRONG, d, Preparation.GROUND, 1.0, 0.005, stride=40)
-    ground = np.zeros((2, 2), dtype=complex)
-    ground[0, 0] = 1.0
-    times, states = evolve_joint(STRONG, d, np.kron(ground, rho_f), 1.0, 0.005, stride=40)
-    for k in range(len(times)):
-        direct_g = states[k][:d, :d]
-        via_columns = apply_superop(branch.m_g[k], rho_f)
-        assert np.max(np.abs(direct_g - via_columns)) < 1e-10
+    pointer = np.diag([1.0, 0.0])
+    mixed = lab_frame_rk4(STRONG, d, np.kron(pointer, 0.3 * rho_f + 0.7 * sigma_f), 1.0, 0.005, 40)
+    for m_g, state in zip(branch.m_g, mixed):
+        via_columns = 0.3 * apply_superop(m_g, rho_f) + 0.7 * apply_superop(m_g, sigma_f)
+        assert np.max(np.abs(via_columns - state[:d, :d])) < 1e-10
 
 
 def test_hermiticity_pairing_of_columns():

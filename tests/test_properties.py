@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavityprobe.fock import TruncationMode
-from cavityprobe.instrument import P_FLOOR, ModelParams, Preparation, conditional_trajectories, integrate_instrument
-from cavityprobe.metrics import metrics_series, uhlmann_fidelity, von_neumann_entropy
+from cavityprobe.instrument import ModelParams, Preparation, conditional_trajectories, integrate_instrument
+from cavityprobe.metrics import P_FLOOR, metrics_series, uhlmann_fidelity, von_neumann_entropy
 from cavityprobe.superop import apply_superop, choi_matrix
 
 T_MAX, DT, STRIDE = 5.0, 0.01, 25

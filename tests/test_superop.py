@@ -5,7 +5,6 @@ from cavityprobe.fock import TruncationMode, annihilation_op, fock_state, maxima
 from cavityprobe.superop import (
     apply_superop,
     choi_matrix,
-    identity_superop,
     sandwich_superop,
     superop_dim,
     unvec,
@@ -47,13 +46,13 @@ def test_sandwich_dimension_mismatch():
     with pytest.raises(ValueError):
         sandwich_superop(np.eye(2), np.eye(3))
     with pytest.raises(ValueError):
-        apply_superop(identity_superop(2), np.eye(3))
+        apply_superop(np.eye(4), np.eye(3))
 
 
 def test_apply_identity_and_zero():
     rng = np.random.default_rng(3)
     x = rand_matrix(rng, 4)
-    assert np.allclose(apply_superop(identity_superop(4), x), x, atol=0)
+    assert np.allclose(apply_superop(np.eye(16), x), x, atol=0)
     assert np.array_equal(apply_superop(np.zeros((16, 16)), x), np.zeros((4, 4)))
 
 
@@ -114,7 +113,7 @@ def test_su11_commutation_on_interior_support(d):
     k0, kplus, kminus, _ = ladder_superops(d)
     n_op, _ = quadratic_ops(d)
     eye = np.eye(d, dtype=complex)
-    k0_prime = 0.5 * (sandwich_superop(n_op, eye) + sandwich_superop(eye, n_op)) + 0.5 * identity_superop(d)
+    k0_prime = 0.5 * (sandwich_superop(n_op, eye) + sandwich_superop(eye, n_op)) + 0.5 * np.eye(d * d)
 
     rng = np.random.default_rng(d * 11)
     x = np.zeros((d, d), dtype=complex)
@@ -141,7 +140,7 @@ def test_trace_identities(d):
 
 
 def test_choi_of_identity_map():
-    c = choi_matrix(identity_superop(2))
+    c = choi_matrix(np.eye(4))
     eigs = np.sort(np.linalg.eigvalsh(c))
     assert np.allclose(eigs, [0.0, 0.0, 0.0, 2.0], atol=1e-14)
 
