@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .fock import TruncationMode, annihilation_op, check_density_matrix, quadratic_ops
-from .superop import sandwich_superop, vec
+from .superop import sandwich_superop, unvec, vec
 
 __all__ = [
     "DivergenceError",
@@ -139,11 +139,10 @@ def build_block_generator(
     """
     a = annihilation_op(d)
     n, aad = (op.diagonal() for op in quadratic_ops(d, mode))
-    # a+a and a a+ are diagonal, so G_gg and G_ee only scale each X_ij, which
-    # sits at column-stacking position i + j d: by (x_i + x_j)/2 for {x, .}/2
-    # and by n_i - n_j for N.
-    anti_n, anti_aad = (0.5 * np.add.outer(x, x).ravel() for x in (n, aad))
-    rotation = 1j * p.kappa * p.delta * np.subtract.outer(n, n).T.ravel()
+    # a+a and a a+ are diagonal, so G_gg and G_ee only scale each X_ij: by
+    # (x_i + x_j)/2 for {x, .}/2 and by n_i - n_j for N.
+    anti_n, anti_aad = (0.5 * vec(np.add.outer(x, x)) for x in (n, aad))
+    rotation = 1j * p.kappa * p.delta * vec(np.subtract.outer(n, n))
     rate = p.field_rate
     ident = np.eye(d * d, dtype=complex)
     g_gg = np.diag(-(rate * anti_n - rotation + p.gamma_ge))
@@ -153,39 +152,40 @@ def build_block_generator(
     return np.block([[g_gg, g_ge], [g_eg, g_ee]])
 
 
-def _n_steps(t_max: float, dt: float) -> int:
-    """Number of RK4 steps of size dt that reach t_max exactly."""
+def _sample_steps(t_max: float, dt: float, stride: int) -> np.ndarray:
+    """Step counts [0, stride, 2 stride, ..., n_steps] at which the RK4 run is sampled.
+
+    t_max must be a finite whole number of steps of size dt, and stride a
+    positive integer; the final step is always included.
+    """
     if not (dt > 0 and dt <= t_max < np.inf):
         raise ValueError(f"need finite 0 < dt <= t_max, got dt={dt}, t_max={t_max}")
     n_steps = int(round(t_max / dt))
     if abs(n_steps * dt - t_max) > 1e-9 * t_max:
         raise ValueError(f"t_max={t_max} is not a whole number of dt={dt} steps; make t_max a multiple of dt")
-    return n_steps
-
-
-def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, t_max: float, dt: float, stride: int):
-    """Fixed-step RK4 on d/dt y = matrix @ y up to t_max, sampling every `stride` steps.
-
-    The final step is always included.  Returns (times, samples).
-    """
-    n_steps = _n_steps(t_max, dt)
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride!r}")
+    return np.append(np.arange(0, n_steps, stride), n_steps)
+
+
+def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, dt: float, steps: np.ndarray):
+    """Fixed-step RK4 on d/dt y = matrix @ y, sampled at the step counts of :func:`_sample_steps`.
+
+    Returns (steps * dt, samples).
+    """
     state = state0.astype(complex)
-    times = [0.0]
-    samples = [state.copy()]
-    for k in range(1, n_steps + 1):
-        k1 = matrix @ state
-        k2 = matrix @ (state + (0.5 * dt) * k1)
-        k3 = matrix @ (state + (0.5 * dt) * k2)
-        k4 = matrix @ (state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if k % stride == 0 or k == n_steps:
-            if not np.all(np.isfinite(state.view(float))):
-                raise DivergenceError(k * dt)
-            times.append(k * dt)
-            samples.append(state.copy())
-    return np.array(times), np.stack(samples)
+    samples = [state]
+    for start, stop in zip(steps, steps[1:]):
+        for _ in range(start, stop):
+            k1 = matrix @ state
+            k2 = matrix @ (state + (0.5 * dt) * k1)
+            k3 = matrix @ (state + (0.5 * dt) * k2)
+            k4 = matrix @ (state + dt * k3)
+            state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(state.view(float))):
+            raise DivergenceError(stop * dt)
+        samples.append(state)
+    return steps * dt, np.stack(samples)
 
 
 def _propagate_blocks(
@@ -202,9 +202,10 @@ def _propagate_blocks(
 
     Returns (times, g samples, e samples); each sample has field0's shape.
     """
+    steps = _sample_steps(t_max, dt, stride)
     zero = np.zeros_like(field0)
     pair = (field0, zero) if Preparation(prep) is Preparation.GROUND else (zero, field0)
-    times, samples = _rk4_sampled(build_block_generator(p, d, mode), np.concatenate(pair), t_max, dt, stride)
+    times, samples = _rk4_sampled(build_block_generator(p, d, mode), np.concatenate(pair), dt, steps)
     return times, samples[:, : d * d], samples[:, d * d :]
 
 
@@ -248,5 +249,5 @@ def conditional_trajectories(
         raise ValueError(f"initial state shape {rho_f.shape} does not match d={d}")
     check_density_matrix(rho_f)
     times, v_g, v_e = _propagate_blocks(p, d, prep, vec(rho_f), t_max, dt, mode, stride)
-    return times, v_g.reshape(-1, d, d).transpose(0, 2, 1), v_e.reshape(-1, d, d).transpose(0, 2, 1)
+    return times, unvec(v_g), unvec(v_e)
 

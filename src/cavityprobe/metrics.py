@@ -46,8 +46,11 @@ def _checked_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def von_neumann_entropy(rho: np.ndarray, base: float = 2.0):
     """Entropy -sum(lam log lam) of a density matrix, with 0 log 0 = 0.
 
-    A (..., d, d) stack gives an array of shape (...).
+    A (..., d, d) stack gives an array of shape (...).  base must be finite,
+    positive and not 1.
     """
+    if not (np.isfinite(base) and base > 0 and base != 1):
+        raise ValueError(f"log base must be finite, positive and not 1, got {base!r}")
     vals, _ = _checked_eigh(rho)
     vals = np.clip(vals, 0.0, 1.0)
     logs = np.log(vals, out=np.zeros_like(vals), where=vals > 0.0)
@@ -88,19 +91,20 @@ def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray):
 @dataclass(frozen=True)
 class MetricsRecord:
     """Per-time-point metrics; fields for an outcome are None when its
-    probability sits below the floor and the conditional state is undefined."""
+    probability sits below the floor and the conditional state is undefined.
+    Fields are declared in CSV column order."""
 
     t: float
     p_g: float
     p_e: float
-    defined_g: bool
-    defined_e: bool
     i_g: float | None
     i_e: float | None
     f_g: float | None
     f_e: float | None
     s_g: float | None
     s_e: float | None
+    defined_g: bool
+    defined_e: bool
 
 
 def metrics_series(

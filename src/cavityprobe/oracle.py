@@ -32,9 +32,10 @@ from .instrument import (
     ModelParams,
     Preparation,
     _rk4_sampled,
+    _sample_steps,
     integrate_instrument,
 )
-from .superop import sandwich_superop
+from .superop import sandwich_superop, unvec, vec
 
 __all__ = [
     "pure_dephasing_rate",
@@ -93,12 +94,6 @@ def dt_limit(p: ModelParams) -> float:
     return 0.01 / max(abs(p.delta), p.omega, p.gamma_big, 1.0)
 
 
-def _block_rows(atom: int, d: int) -> np.ndarray:
-    """Positions in vec(joint state) of the field block <atom|rho|atom>, in vec order."""
-    field = atom * d + np.arange(d)
-    return (field[:, None] * (2 * d) + field[None, :]).reshape(-1)
-
-
 def extract_instrument_oracle(
     p: ModelParams, d: int, prep: Preparation, t_max: float, dt: float, stride: int = 1
 ) -> InstrumentBranch:
@@ -111,6 +106,7 @@ def extract_instrument_oracle(
     exceeds dt_limit(p), and DivergenceError when a column's trace drifts by
     more than 1e-9.
     """
+    steps = _sample_steps(t_max, dt, stride)
     prep = Preparation(prep)
     limit = dt_limit(p)
     if dt > limit * (1 + 1e-12):
@@ -120,11 +116,14 @@ def extract_instrument_oracle(
     generator = joint_liouvillian(p, d, 0.0) - 1j * p.delta * (
         sandwich_superop(excited, eye) - sandwich_superop(eye, excited)
     )
-    g_rows, e_rows = _block_rows(0, d), _block_rows(1, d)
+    # positions[i, j] is where the joint entry <i|rho|j> sits in vec(rho); the
+    # pointer's |g> and |e> blocks give the rows of M_g and M_e in vec order.
+    positions = unvec(np.arange(4 * d * d))
+    g_rows, e_rows = vec(positions[:d, :d]), vec(positions[d:, d:])
     columns = np.zeros((4 * d * d, d * d), dtype=complex)
     columns[g_rows if prep is Preparation.GROUND else e_rows, np.arange(d * d)] = 1.0
-    times, samples = _rk4_sampled(generator, columns, t_max, dt, stride)
-    traces = samples[:, np.arange(2 * d) * (2 * d + 1)].sum(axis=1)
+    times, samples = _rk4_sampled(generator, columns, dt, steps)
+    traces = samples[:, positions.diagonal()].sum(axis=1)
     drift = np.abs(traces - traces[0]).max(axis=1)
     bad = np.flatnonzero(drift > 1e-9)
     if bad.size:

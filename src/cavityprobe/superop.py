@@ -29,12 +29,12 @@ def vec(x: np.ndarray) -> np.ndarray:
 
 
 def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec` for square matrices."""
+    """Inverse of :func:`vec` for square matrices; a (..., d^2) stack gives (..., d, d)."""
     v = np.asarray(v)
-    d = math.isqrt(v.size)
-    if d * d != v.size:
-        raise ValueError(f"vector of length {v.size} is not a stacked square matrix")
-    return v.reshape((d, d), order="F")
+    d = math.isqrt(v.shape[-1])
+    if d * d != v.shape[-1]:
+        raise ValueError(f"vector of length {v.shape[-1]} is not a stacked square matrix")
+    return v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
 
 
 def superop_dim(s: np.ndarray) -> int:

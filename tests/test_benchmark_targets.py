@@ -1,11 +1,14 @@
-"""Every function the benchmark's traced runs rebind must exist under the name it uses.
+"""The benchmark's workloads must keep running against the package.
 
 `perfbench/worker.py` times each layer by rebinding module attributes such as
-`cavityprobe.cli.integrate_instrument`.  A rename or removal in the package
-would otherwise only show when someone runs `perfbench/run.py --trace 1`.
+`cavityprobe.cli.integrate_instrument`, and checks every output against
+`perfbench/reference.json`.  A rename or removal in the package, output
+drift beyond the benchmark's tolerance, or a broken count function would
+otherwise only show when someone runs `perfbench/run.py --trace 1`.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,10 @@ import cavityprobe.cli
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.mark.parametrize("name", ["figure-grid", "maps-ladder", "fock-d20", "oracle-ladder"])
+WORKLOADS = ["figure-grid", "maps-ladder", "fock-d20", "oracle-ladder"]
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
 def test_trace_targets_resolve(name, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     worker = importlib.import_module("worker")
@@ -25,3 +31,18 @@ def test_trace_targets_resolve(name, tmp_path, monkeypatch):
     assert targets
     for module, attribute, _, _ in targets:
         assert callable(getattr(module, attribute, None)), f"{module.__name__}.{attribute} is gone"
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_traced_tiny_pass_matches_reference(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = importlib.import_module("worker")
+    tracing = importlib.import_module("tracing")
+    workload = worker.WORKLOADS[name](cavityprobe, worker.SIZES["tiny"], 0, tmp_path)
+    tracer = tracing.Tracer()
+    with tracing.Patch(tracer, workload.trace_targets(cavityprobe)):
+        _, _, ops = worker.run_pass(workload, tracer)
+    reference = json.loads(worker.REFERENCE.read_text(encoding="utf-8"))["tiny"][name]
+    failed, _, messages = worker.compare(ops, reference)
+    assert failed == 0, messages
+    worker.layer_metrics(tracer)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from cavityprobe.cli import (
 )
 from cavityprobe.fock import TruncationMode
 from cavityprobe.instrument import Preparation
+from cavityprobe.metrics import MetricsRecord
 
 
 def make_config(tmp_path, **overrides):
@@ -126,6 +128,9 @@ class TestParseConfig:
 
 
 class TestRun:
+    def test_record_fields_follow_csv_columns(self):
+        assert [c.lower() for c in CSV_COLUMNS] == [f.name for f in dataclasses.fields(MetricsRecord)]
+
     def test_csv_schema_and_first_row(self, tmp_path):
         cfg = parse_config(write_config(tmp_path).read_text())
         run(cfg)

@@ -234,6 +234,23 @@ class TestIntegration:
             with pytest.raises(ValueError, match="stride"):
                 integrate_instrument(STRONG, 2, Preparation.GROUND, 0.1, 0.01, stride=stride)
 
+    def test_time_grid_checked_before_any_generator_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generator built before the time grid was checked")
+
+        monkeypatch.setattr("cavityprobe.instrument.build_block_generator", refuse)
+        monkeypatch.setattr("cavityprobe.oracle.joint_liouvillian", refuse)
+        # dt_limit(slow) = 0.01, so the oracle's step-size check lets dt = 0.01 through
+        slow = ModelParams(omega=0.1, delta=0.0, gamma_big=1.0, gamma_ge=0.0, gamma_eg=0.5)
+        rho = maximally_mixed(2)
+        for t_max, stride in ((0.015, 1), (0.02, 0)):
+            with pytest.raises(ValueError):
+                integrate_instrument(slow, 2, Preparation.GROUND, t_max, 0.01, stride=stride)
+            with pytest.raises(ValueError):
+                conditional_trajectories(slow, 2, Preparation.GROUND, rho, t_max, 0.01, stride=stride)
+            with pytest.raises(ValueError):
+                extract_instrument_oracle(slow, 2, Preparation.GROUND, t_max, 0.01, stride=stride)
+
 
 class TestConditionalState:
     """How metrics_series turns one unnormalized state M rho into an outcome's record."""

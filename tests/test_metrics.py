@@ -37,6 +37,14 @@ class TestEntropy:
     def test_natural_log_base(self):
         assert von_neumann_entropy(maximally_mixed(2), base=np.e) == pytest.approx(np.log(2), abs=1e-12)
 
+    @pytest.mark.parametrize("base", [1.0, 0.0, -2.0, np.nan, np.inf])
+    def test_rejects_log_bases_without_a_finite_logarithm(self, base):
+        with pytest.raises(ValueError, match="log base"):
+            von_neumann_entropy(maximally_mixed(2), base=base)
+        times, y_g, y_e = conditional_trajectories(STRONG, 2, Preparation.GROUND, maximally_mixed(2), 0.1, 0.01)
+        with pytest.raises(ValueError, match="log base"):
+            metrics_series(times, y_g, y_e, maximally_mixed(2), base=base)
+
     def test_entropy_bounds_on_random_states(self):
         rng = np.random.default_rng(50)
         for d in (2, 3, 6):

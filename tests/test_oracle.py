@@ -157,7 +157,7 @@ def test_extraction_initial_condition():
 def test_extracted_outcome_maps_sum_to_trace_preserving():
     d = 3
     branch = extract_instrument_oracle(STRONG, d, Preparation.GROUND, 2.0, 0.005, stride=80)
-    trace_dual = np.eye(d, dtype=complex).reshape(-1, order="F")  # <<I| picks Tr
+    trace_dual = vec(np.eye(d, dtype=complex))  # <<I| picks Tr
     for mg, me in zip(branch.m_g, branch.m_e):
         row = trace_dual @ (mg + me)
         assert np.max(np.abs(row - trace_dual)) < 1e-9
@@ -181,13 +181,11 @@ def test_extraction_is_linear():
 def test_hermiticity_pairing_of_columns():
     d = 3
     branch = extract_instrument_oracle(STRONG, d, Preparation.GROUND, 1.0, 0.005, stride=100)
+    # swap[k] is the vec position of |n><m| when |m><n| sits at position k
+    swap = vec(unvec(np.arange(d * d)).T)
     for maps in (branch.m_g, branch.m_e):
-        for s in maps:
-            for m in range(d):
-                for n in range(d):
-                    col_mn = s[:, n * d + m].reshape((d, d), order="F")
-                    col_nm = s[:, m * d + n].reshape((d, d), order="F")
-                    assert np.max(np.abs(col_mn - col_nm.conj().T)) < 1e-10
+        images = unvec(maps.swapaxes(-1, -2))  # images[t, k]: image of the matrix unit at position k
+        assert np.max(np.abs(images - images[:, swap].conj().swapaxes(-1, -2))) < 1e-10
 
 
 def test_residual_vanishes_without_coupling():

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from cavityprobe.fock import TruncationMode
 from cavityprobe.instrument import ModelParams, Preparation, conditional_trajectories, integrate_instrument
 from cavityprobe.metrics import P_FLOOR, metrics_series, uhlmann_fidelity, von_neumann_entropy
-from cavityprobe.superop import apply_superop, choi_matrix
+from cavityprobe.superop import apply_superop, choi_matrix, vec
 
 T_MAX, DT, STRIDE = 5.0, 0.01, 25
 
@@ -75,7 +75,7 @@ def test_trace_conserved_without_reexcitation(p, d):
     """Ground pointer, gamma_ge = 0, closure truncation: no population can
     reach past the cutoff, so Tr(M_g X + M_e X) = Tr X for every X."""
     branch = integrate_instrument(p, d, Preparation.GROUND, T_MAX, DT, stride=STRIDE)
-    trace_row = np.eye(d).reshape(-1, order="F")
+    trace_row = vec(np.eye(d))
     total = trace_row @ (branch.m_g + branch.m_e)
     assert np.max(np.abs(total - trace_row)) < 1e-9
 

@@ -25,6 +25,15 @@ def test_vec_is_column_stacking():
 def test_unvec_rejects_non_square_lengths():
     with pytest.raises(ValueError):
         unvec(np.zeros(5))
+    with pytest.raises(ValueError):
+        unvec(np.zeros((3, 5)))
+
+
+def test_unvec_of_a_stack_is_the_stack_of_unvecs():
+    rng = np.random.default_rng(8)
+    d = 3
+    stack = rng.normal(size=(3, d * d)) + 1j * rng.normal(size=(3, d * d))
+    assert np.array_equal(unvec(stack), np.stack([unvec(v) for v in stack]))
 
 
 def test_identity_sandwich_is_identity_matrix():
