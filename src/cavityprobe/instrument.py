@@ -155,11 +155,11 @@ def build_block_generator(
 def _sample_steps(t_max: float, dt: float, stride: int) -> np.ndarray:
     """Step counts [0, stride, 2 stride, ..., n_steps] at which the RK4 run is sampled.
 
-    t_max must be a finite whole number of steps of size dt, and stride a
-    positive integer; the final step is always included.
+    t_max must be a finite whole number (below 2**63) of steps of size dt, and
+    stride a positive integer; the final step is always included.
     """
-    if not (dt > 0 and dt <= t_max < np.inf):
-        raise ValueError(f"need finite 0 < dt <= t_max, got dt={dt}, t_max={t_max}")
+    if not (dt > 0 and dt <= t_max < np.inf and t_max / dt < 2**63):
+        raise ValueError(f"need finite 0 < dt <= t_max with t_max / dt < 2**63 steps, got dt={dt}, t_max={t_max}")
     n_steps = int(round(t_max / dt))
     if abs(n_steps * dt - t_max) > 1e-9 * t_max:
         raise ValueError(f"t_max={t_max} is not a whole number of dt={dt} steps; make t_max a multiple of dt")
@@ -171,21 +171,21 @@ def _sample_steps(t_max: float, dt: float, stride: int) -> np.ndarray:
 def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, dt: float, steps: np.ndarray):
     """Fixed-step RK4 on d/dt y = matrix @ y, sampled at the step counts of :func:`_sample_steps`.
 
-    Returns (steps * dt, samples).
+    Each step applies P(dt matrix), the degree-4 Taylor polynomial that is
+    classical RK4 for a constant generator, in Horner form, scaling matrix in
+    place (pass a fresh one).  Returns (steps * dt, samples).
     """
-    state = state0.astype(complex)
-    samples = [state]
-    for start, stop in zip(steps, steps[1:]):
-        for _ in range(start, stop):
-            k1 = matrix @ state
-            k2 = matrix @ (state + (0.5 * dt) * k1)
-            k3 = matrix @ (state + (0.5 * dt) * k2)
-            k4 = matrix @ (state + dt * k3)
-            state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(state.view(float))):
-            raise DivergenceError(stop * dt)
-        samples.append(state)
-    return steps * dt, np.stack(samples)
+    matrix *= dt
+    samples = np.empty((len(steps), *state0.shape), dtype=complex)
+    samples[0] = state = state0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (start, stop) in enumerate(zip(steps, steps[1:]), 1):
+            for _ in range(start, stop):
+                state = state + matrix @ (state + matrix @ (state + matrix @ (state + matrix @ state / 4) / 3) / 2)
+            if not np.all(np.isfinite(state.view(float))):
+                raise DivergenceError(stop * dt)
+            samples[k] = state
+    return steps * dt, samples
 
 
 def _propagate_blocks(

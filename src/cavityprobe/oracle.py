@@ -8,11 +8,11 @@ gamma_big / omega grows; the residual between the two is the quantitative
 check.
 
 The lab-frame Hamiltonian depends on time through e^{+-i delta t}.  In the
-frame V = exp(-i delta t |e><e|) it does not: the generator is the constant
-joint_liouvillian(p, d, 0) - i delta [|e><e|, .], which the same fixed-step
-RK4 loop as the reduced model integrates.  The frame only rotates the
-atomic coherences, so the gg and ee blocks (and with them the outcome maps)
-are unchanged.
+frame V = exp(-i delta t |e><e|) it does not: there it is the constant
+joint_hamiltonian(p, d, 0) + delta |e><e|, whose Liouvillian (built by the
+same code as joint_liouvillian) the same fixed-step RK4 loop as the reduced
+model integrates.  The frame only rotates the atomic coherences, so the gg
+and ee blocks (and with them the outcome maps) are unchanged.
 
 The atomic dissipator carries the two population channels at gamma_ge and
 gamma_eg plus a pure dephasing channel sized so the total coherence decay
@@ -76,7 +76,11 @@ def _jump_ops(p: ModelParams, d: int) -> list[tuple[np.ndarray, float]]:
 
 def joint_liouvillian(p: ModelParams, d: int, t: float) -> np.ndarray:
     """Superoperator matrix of the joint generator at time t (dimension (2d)^2)."""
-    h = joint_hamiltonian(p, d, t)
+    return _liouvillian(p, d, joint_hamiltonian(p, d, t))
+
+
+def _liouvillian(p: ModelParams, d: int, h: np.ndarray) -> np.ndarray:
+    """Superoperator matrix of -i[h, .] plus the atomic dissipator."""
     eye = np.eye(2 * d, dtype=complex)
     lv = -1j * (sandwich_superop(h, eye) - sandwich_superop(eye, h))
     for op, rate in _jump_ops(p, d):
@@ -111,18 +115,14 @@ def extract_instrument_oracle(
     limit = dt_limit(p)
     if dt > limit * (1 + 1e-12):
         raise ValueError(f"dt={dt} too coarse for these rates; need dt <= {limit:.6g}")
-    excited = np.kron(np.diag([0.0, 1.0]), np.eye(d)).astype(complex)
-    eye = np.eye(2 * d, dtype=complex)
-    generator = joint_liouvillian(p, d, 0.0) - 1j * p.delta * (
-        sandwich_superop(excited, eye) - sandwich_superop(eye, excited)
-    )
     # positions[i, j] is where the joint entry <i|rho|j> sits in vec(rho); the
     # pointer's |g> and |e> blocks give the rows of M_g and M_e in vec order.
     positions = unvec(np.arange(4 * d * d))
     g_rows, e_rows = vec(positions[:d, :d]), vec(positions[d:, d:])
     columns = np.zeros((4 * d * d, d * d), dtype=complex)
     columns[g_rows if prep is Preparation.GROUND else e_rows, np.arange(d * d)] = 1.0
-    times, samples = _rk4_sampled(generator, columns, dt, steps)
+    frame_hamiltonian = joint_hamiltonian(p, d, 0.0) + p.delta * np.kron(np.diag([0.0, 1.0]), np.eye(d))
+    times, samples = _rk4_sampled(_liouvillian(p, d, frame_hamiltonian), columns, dt, steps)
     traces = samples[:, positions.diagonal()].sum(axis=1)
     drift = np.abs(traces - traces[0]).max(axis=1)
     bad = np.flatnonzero(drift > 1e-9)

@@ -2,7 +2,6 @@ import dataclasses
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from cavityprobe.cli import (
@@ -97,6 +96,7 @@ class TestParseConfig:
             {"d": True},
             {"stride": True},
             {"initial_state": "fock", "n": False},
+            {"t_max": 1e300, "dt": 1e-10},
         ],
     )
     def test_invalid_configs_rejected(self, overrides, tmp_path):
@@ -264,8 +264,10 @@ class TestMainExitCodes:
 
     def test_solver_error_is_3(self, tmp_path, capsys):
         path = write_config(tmp_path, preset="strong", d=6, dt=2.0, t_max=4000.0, stride=100)
-        with np.errstate(all="ignore"):
-            assert main(["run", "--config", str(path)]) == 3
+        assert main(["run", "--config", str(path)]) == 3
+        # the config's own warnings aside, the divergence is reported once, without numpy warnings
+        lines = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("warning: ")]
+        assert len(lines) == 1 and lines[0].startswith("solver error: integration diverged at t=")
         # RK4 is unstable at this dt; the metrics reject a non-PSD conditional state
         path = write_config(tmp_path, preset=None, omega=12, delta=0.5, gamma_big=10, gamma_ge=0.1,
                             gamma_eg=1.0, d=6, initial_state="fock", n=3, t_max=0.2, dt=0.01, stride=1)

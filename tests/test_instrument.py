@@ -184,9 +184,32 @@ class TestIntegration:
         assert branch.times[-1] == pytest.approx(0.25)
         assert len(branch.times) == 4  # t = 0, 0.1, 0.2, 0.25
 
+    @pytest.mark.parametrize("mode", list(TruncationMode))
+    @pytest.mark.parametrize("prep", list(Preparation))
+    def test_kernel_is_classical_rk4(self, prep, mode):
+        """The sampled maps are those of the four-stage RK4 scheme on the block generator."""
+        d, dt, stride, n_steps = 3, 0.01, 7, 50
+        a = build_block_generator(STRONG, d, mode)
+        eye, zero = np.eye(d * d, dtype=complex), np.zeros((d * d, d * d), dtype=complex)
+        y = np.concatenate((eye, zero) if prep is Preparation.GROUND else (zero, eye))
+        expected = [y]
+        for step in range(1, n_steps + 1):
+            k1 = a @ y
+            k2 = a @ (y + 0.5 * dt * k1)
+            k3 = a @ (y + 0.5 * dt * k2)
+            k4 = a @ (y + dt * k3)
+            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if step % stride == 0 or step == n_steps:
+                expected.append(y)
+        expected = np.array(expected)
+        branch = integrate_instrument(STRONG, d, prep, n_steps * dt, dt, mode, stride)
+        assert np.array_equal(branch.times, dt * np.array([0, 7, 14, 21, 28, 35, 42, 49, 50]))
+        assert np.max(np.abs(branch.m_g - expected[:, : d * d])) < 1e-13
+        assert np.max(np.abs(branch.m_e - expected[:, d * d :])) < 1e-13
+
     def test_divergence_raises_with_time(self):
         p = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+        with pytest.raises(DivergenceError) as err:
             integrate_instrument(p, 6, Preparation.GROUND, 4000.0, 2.0, stride=100)
         assert err.value.t > 0
 
@@ -229,6 +252,13 @@ class TestIntegration:
             conditional_trajectories(STRONG, 2, Preparation.GROUND, maximally_mixed(2), inf, 0.01)
         with pytest.raises(ValueError, match="finite"):
             extract_instrument_oracle(STRONG, 2, Preparation.GROUND, inf, 0.005)
+        # t_max / dt overflows to inf: rejected, not an OverflowError from the step count
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            integrate_instrument(STRONG, 2, Preparation.GROUND, 1e300, 1e-10)
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            conditional_trajectories(STRONG, 2, Preparation.GROUND, maximally_mixed(2), 1e300, 1e-10)
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            extract_instrument_oracle(STRONG, 2, Preparation.GROUND, 1e300, 1e-10)
         # a fractional or boolean stride would silently change the sampling
         for stride in (2.5, True):
             with pytest.raises(ValueError, match="stride"):
@@ -239,7 +269,7 @@ class TestIntegration:
             raise AssertionError("generator built before the time grid was checked")
 
         monkeypatch.setattr("cavityprobe.instrument.build_block_generator", refuse)
-        monkeypatch.setattr("cavityprobe.oracle.joint_liouvillian", refuse)
+        monkeypatch.setattr("cavityprobe.oracle._liouvillian", refuse)
         # dt_limit(slow) = 0.01, so the oracle's step-size check lets dt = 0.01 through
         slow = ModelParams(omega=0.1, delta=0.0, gamma_big=1.0, gamma_ge=0.0, gamma_eg=0.5)
         rho = maximally_mixed(2)
