@@ -484,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("error: out of memory; lower d (the generator has (2 d^2)^2 entries)", file=sys.stderr)
+        print("error: out of memory; lower d or the sample count t_max/(dt*stride)", file=sys.stderr)
         return 2
     except (DivergenceError, PositivityError, InvalidStateError, SweepError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -11,6 +11,18 @@ outcome-resolved maps M_g, M_e on the field obey the linear block system
 with superoperator composition on the right.  Both pointer preparations
 evolve under the same blocks; only the initial pair differs, (Id, 0) for a
 ground-state pointer and (0, Id) for an excited one.
+
+The generator never links coherence orders q = i - j: a+a and a a+ only
+scale the matrix unit |i><j|, and the ladder sandwiches a+ X a and a X a+
+move it along its diagonal.  The 2 d^2 system therefore splits into
+independent sectors, one per order q = 1 - d .. d - 1, of 2 (d - |q|)
+entries (X_g, X_e)_ij each.  The orders b and b - d (b = 0 .. d - 1) fill
+exactly d slots together, so they share block b: slot j of the block is the
+entry X_ij with i = (j + b) mod d, the g slots come first and the e slots
+follow at offset d.  The ladder weight sqrt(i) sqrt(j) between slots j - 1
+and j vanishes where i wraps to 0, which is exactly where the two orders
+meet, so they stay unlinked inside the block.  The whole generator is one
+(d, 2d, 2d) array on which matrix products broadcast, with no padding.
 """
 
 from __future__ import annotations
@@ -20,8 +32,8 @@ from enum import Enum
 
 import numpy as np
 
-from .fock import TruncationMode, annihilation_op, check_density_matrix, quadratic_ops
-from .superop import sandwich_superop, unvec, vec
+from .fock import TruncationMode, check_density_matrix, quadratic_ops
+from .superop import vec
 
 __all__ = [
     "DivergenceError",
@@ -120,6 +132,56 @@ class InstrumentBranch:
     m_e: np.ndarray
 
 
+def _block_index(d: int) -> np.ndarray:
+    """Block (i - j) mod d of each entry X_ij, as a d x d array; the entry's slot in its block is j."""
+    j = np.arange(d)
+    return (j[:, None] - j) % d
+
+
+def _dense(blocks: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Dense (..., K, K) matrices from the (..., B, m, m) stack of their diagonal blocks.
+
+    block[k] is the block of index k; the indices of block b, in increasing
+    order, are its rows and columns.  Entries across blocks are 0.
+    """
+    out = np.zeros((*blocks.shape[:-3], len(block), len(block)), dtype=complex)
+    for b in range(blocks.shape[-3]):
+        index = np.flatnonzero(block == b)
+        out[..., index[:, None], index] = blocks[..., b, :, :]
+    return out
+
+
+def _stacked_generator(
+    p: ModelParams, d: int, mode: TruncationMode = TruncationMode.ALGEBRAIC_CLOSURE
+) -> np.ndarray:
+    """The block generator as the (d, 2d, 2d) stack of its coherence blocks.
+
+    Row or column j < d of block b is slot j of the g branch, the entry
+    X_ij with i = (j + b) mod d, and d + j is the same slot of the e branch
+    (see the module docstring).
+    """
+    n, aad = (op.diagonal() for op in quadratic_ops(d, mode))
+    j = np.arange(d)
+    i = (j + j[:, None]) % d
+    # a+a and a a+ are diagonal, so G_gg and G_ee only scale each X_ij: by
+    # (x_i + x_j)/2 for {x, .}/2 and by n_i - n_j for N.
+    rotation = 1j * p.kappa * p.delta * (n[i] - n[j])
+    rate = p.field_rate
+    # a+ X a carries X_{i-1,j-1} (slot j - 1) to X_ij (slot j) with weight
+    # sqrt(i) sqrt(j), and a X a+ carries it back with the same weight.  The
+    # weight is 0 where i = 0, so the two orders of a block stay unlinked.
+    root = np.sqrt(j)
+    ladder = rate * (root[j] * root[i])
+    stack = np.zeros((d, 2 * d, 2 * d), dtype=complex)
+    stack[:, j, j] = -(rate * (0.5 * (n[i] + n[j])) - rotation + p.gamma_ge)
+    stack[:, d + j, d + j] = -(rate * (0.5 * (aad[i] + aad[j])) + rotation + p.gamma_eg)
+    stack[:, j, d + j] = p.gamma_eg
+    stack[:, d + j, j] = p.gamma_ge
+    stack[:, j[1:], d + j[:-1]] = ladder[:, 1:]
+    stack[:, d + j[:-1], j[1:]] = ladder[:, 1:]
+    return stack
+
+
 def build_block_generator(
     p: ModelParams, d: int, mode: TruncationMode = TruncationMode.ALGEBRAIC_CLOSURE
 ) -> np.ndarray:
@@ -135,29 +197,20 @@ def build_block_generator(
     jump term hands to the other, Tr(a X a+) = Tr(a+a X) and
     Tr(a+ X a) = Tr(a a+ X), so the pair conserves trace wherever the
     realized a a+ is the truncated product; the detuning rotates the two
-    branches in opposite senses.
+    branches in opposite senses.  The dense matrix is scattered from the
+    stack of coherence blocks that the integrators propagate.
     """
-    a = annihilation_op(d)
-    n, aad = (op.diagonal() for op in quadratic_ops(d, mode))
-    # a+a and a a+ are diagonal, so G_gg and G_ee only scale each X_ij: by
-    # (x_i + x_j)/2 for {x, .}/2 and by n_i - n_j for N.
-    anti_n, anti_aad = (0.5 * vec(np.add.outer(x, x)) for x in (n, aad))
-    rotation = 1j * p.kappa * p.delta * vec(np.subtract.outer(n, n))
-    rate = p.field_rate
-    ident = np.eye(d * d, dtype=complex)
-    g_gg = np.diag(-(rate * anti_n - rotation + p.gamma_ge))
-    g_ge = rate * sandwich_superop(a.conj().T, a) + p.gamma_eg * ident
-    g_eg = rate * sandwich_superop(a, a.conj().T) + p.gamma_ge * ident
-    g_ee = np.diag(-(rate * anti_aad + rotation + p.gamma_eg))
-    return np.block([[g_gg, g_ge], [g_eg, g_ee]])
+    return _dense(_stacked_generator(p, d, mode), np.tile(vec(_block_index(d)), 2))
 
 
-def _sample_steps(t_max: float, dt: float, stride: int) -> np.ndarray:
-    """Step counts [0, stride, 2 stride, ..., n_steps] at which the RK4 run is sampled.
+def _sample_steps(t_max: float, dt: float, stride: int) -> int:
+    """Number of RK4 steps in the run, after checking the time grid and the stride.
 
     t_max must be a finite whole number (below 2**63) of steps of size dt, and
-    stride a positive integer; the final step is always included.
+    stride a positive integer; the run is sampled every stride steps and at
+    its final step.
     """
+    t_max, dt = float(t_max), float(dt)
     if not (dt > 0 and dt <= t_max < np.inf and t_max / dt < 2**63):
         raise ValueError(f"need finite 0 < dt <= t_max with t_max / dt < 2**63 steps, got dt={dt}, t_max={t_max}")
     n_steps = int(round(t_max / dt))
@@ -165,25 +218,33 @@ def _sample_steps(t_max: float, dt: float, stride: int) -> np.ndarray:
         raise ValueError(f"t_max={t_max} is not a whole number of dt={dt} steps; make t_max a multiple of dt")
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride!r}")
-    return np.append(np.arange(0, n_steps, stride), n_steps)
+    return n_steps
 
 
-def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, dt: float, steps: np.ndarray):
-    """Fixed-step RK4 on d/dt y = matrix @ y, sampled at the step counts of :func:`_sample_steps`.
+def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, dt: float, n_steps: int, stride: int):
+    """Fixed-step RK4 on d/dt y = matrix @ y, sampled every stride steps and at step n_steps.
 
-    Each step applies P(dt matrix), the degree-4 Taylor polynomial that is
-    classical RK4 for a constant generator, in Horner form, scaling matrix in
-    place (pass a fresh one).  Returns (steps * dt, samples).
+    One step is P(M) = I + M (I + M (I + M (I + M/4)/3)/2) with M = dt
+    matrix, the degree-4 Taylor polynomial that is classical RK4 for a
+    constant generator, so c steps are exactly P^c.  P is formed once, its
+    power once for each distinct gap between samples (stride, and the
+    remainder that ends at n_steps), and each sample costs one product.
+    matrix may be a (..., n, n) stack with state0 (..., n, k); products
+    broadcast over the stack.  Returns (times, samples).
     """
-    matrix *= dt
+    steps = np.append(np.arange(0, n_steps, stride), n_steps)
+    gaps = np.diff(steps)
+    m = dt * matrix
+    eye = np.eye(m.shape[-1])
     samples = np.empty((len(steps), *state0.shape), dtype=complex)
     samples[0] = state = state0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (start, stop) in enumerate(zip(steps, steps[1:]), 1):
-            for _ in range(start, stop):
-                state = state + matrix @ (state + matrix @ (state + matrix @ (state + matrix @ state / 4) / 3) / 2)
+        step = eye + m @ (eye + m @ (eye + m @ (eye + m / 4) / 3) / 2)
+        powers = {gap: np.linalg.matrix_power(step, gap) for gap in {gaps[0], gaps[-1]}}
+        for k, gap in enumerate(gaps, 1):
+            state = powers[gap] @ state
             if not np.all(np.isfinite(state.view(float))):
-                raise DivergenceError(stop * dt)
+                raise DivergenceError(steps[k] * dt)
             samples[k] = state
     return steps * dt, samples
 
@@ -197,16 +258,17 @@ def _propagate_blocks(
     dt: float,
     mode: TruncationMode,
     stride: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RK4 of the block system with field0 (d^2 rows) on the prepared branch.
+) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 of the block stack with field0, a (d, d, k) stack of g or e slots, on the prepared branch.
 
-    Returns (times, g samples, e samples); each sample has field0's shape.
+    Returns (times, samples) with samples of shape (2, T, d, d, k): the g and
+    then the e slots of each sample.
     """
-    steps = _sample_steps(t_max, dt, stride)
+    n_steps = _sample_steps(t_max, dt, stride)
     zero = np.zeros_like(field0)
     pair = (field0, zero) if Preparation(prep) is Preparation.GROUND else (zero, field0)
-    times, samples = _rk4_sampled(build_block_generator(p, d, mode), np.concatenate(pair), dt, steps)
-    return times, samples[:, : d * d], samples[:, d * d :]
+    times, samples = _rk4_sampled(_stacked_generator(p, d, mode), np.concatenate(pair, axis=-2), dt, n_steps, stride)
+    return times, np.moveaxis(samples.reshape(*samples.shape[:-2], 2, d, -1), -3, 0)
 
 
 def integrate_instrument(
@@ -223,7 +285,9 @@ def integrate_instrument(
     Classical fixed-step RK4; deterministic for fixed inputs.  t_max must be
     a whole number of steps of size dt.
     """
-    times, m_g, m_e = _propagate_blocks(p, d, prep, np.eye(d * d, dtype=complex), t_max, dt, mode, stride)
+    field0 = np.tile(np.eye(d, dtype=complex), (d, 1, 1))
+    times, samples = _propagate_blocks(p, d, prep, field0, t_max, dt, mode, stride)
+    m_g, m_e = _dense(samples, vec(_block_index(d)))
     return InstrumentBranch(prep=Preparation(prep), times=times, m_g=m_g, m_e=m_e)
 
 
@@ -248,6 +312,10 @@ def conditional_trajectories(
     if rho_f.shape != (d, d):
         raise ValueError(f"initial state shape {rho_f.shape} does not match d={d}")
     check_density_matrix(rho_f)
-    times, v_g, v_e = _propagate_blocks(p, d, prep, vec(rho_f), t_max, dt, mode, stride)
-    return times, unvec(v_g), unvec(v_e)
+    block, slot = _block_index(d), np.arange(d)
+    field0 = np.zeros((d, d, 1), dtype=complex)
+    field0[block, slot, 0] = rho_f
+    times, samples = _propagate_blocks(p, d, prep, field0, t_max, dt, mode, stride)
+    y_g, y_e = samples[..., block, slot, 0]
+    return times, y_g, y_e
 

@@ -75,7 +75,11 @@ def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray):
     if rho.shape[-2:] != sigma.shape[-2:]:
         raise ValueError(f"shape mismatch {rho.shape} vs {sigma.shape}")
     _checked_eigh(sigma)
-    root = sqrtm_psd(rho)
+    return _fidelity(sqrtm_psd(rho), sigma)
+
+
+def _fidelity(root: np.ndarray, sigma: np.ndarray):
+    """Fidelity Tr sqrt(root sigma root) from root = sqrt(rho) and a sigma that _checked_eigh has accepted."""
     vals, _ = _checked_eigh(root @ sigma @ root)
     # Rank-deficient inputs leave eps-level junk in the spectrum that the
     # square root would amplify to ~1e-8; drop it before rooting.
@@ -135,10 +139,10 @@ def metrics_series(
     defined = p > P_FLOOR
     y = y[defined]
     states = 0.5 * (y + y.conj().swapaxes(-1, -2)) / p[defined][:, None, None]
-    entropy = von_neumann_entropy(states, base)
+    entropy = von_neumann_entropy(states, base)  # also the PSD check of states that _fidelity relies on
     columns = {"p": p.tolist(), "defined": defined.tolist()}
     for name, values in (("s", entropy), ("i", von_neumann_entropy(rho_f, base) - entropy),
-                         ("f", uhlmann_fidelity(rho_f, states))):
+                         ("f", _fidelity(sqrtm_psd(rho_f), states))):
         column = np.full(p.shape, None, dtype=object)
         column[defined] = values
         columns[name] = column.tolist()

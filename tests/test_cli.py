@@ -285,7 +285,14 @@ class TestMainExitCodes:
 
         monkeypatch.setattr("cavityprobe.cli.conditional_trajectories", out_of_memory)
         assert main(["run", "--config", str(write_config(tmp_path))]) == 2
-        assert "lower d" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the sample buffer grows with t_max/(dt*stride) as much as with d, so both are named
+        assert "lower d" in err and "t_max/(dt*stride)" in err
+
+    def test_validate_does_not_allocate_the_samples(self, tmp_path, capsys):
+        # 1e15 samples could never be stored, but validating the grid needs only the step count
+        path = write_config(tmp_path, preset="weak", d=2, t_max=1e15, dt=1.0, stride=1)
+        assert main(["validate", "--config", str(path)]) == 0
 
     def test_oracle_flag_reports_residual(self, tmp_path, capsys):
         path = write_config(tmp_path, preset=None, omega=0.05, delta=0.5, gamma_big=1.0,

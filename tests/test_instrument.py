@@ -6,14 +6,15 @@ from cavityprobe.instrument import (
     DivergenceError,
     ModelParams,
     Preparation,
+    _stacked_generator,
     build_block_generator,
     conditional_trajectories,
     integrate_instrument,
 )
 from cavityprobe.metrics import PositivityError, metrics_series
 from cavityprobe.oracle import extract_instrument_oracle
-from cavityprobe.superop import apply_superop, choi_matrix, sandwich_superop, vec
-from cavityprobe.fock import annihilation_op
+from cavityprobe.superop import apply_superop, choi_matrix, sandwich_superop, unvec, vec
+from cavityprobe.fock import annihilation_op, quadratic_ops
 
 STRONG = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
 WEAK = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.0, gamma_eg=0.01)
@@ -81,6 +82,40 @@ class TestBlockGenerator:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             build_block_generator(STRONG, 0)
+
+    @pytest.mark.parametrize("mode", list(TruncationMode))
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_matches_dense_ladder_construction(self, d, mode):
+        """The generator scattered from the sector stack equals the blocks built
+        from Kronecker sandwiches of the ladder operators, entry for entry."""
+        p = ModelParams(omega=0.9, delta=-1.3, gamma_big=1.7, gamma_ge=0.3, gamma_eg=0.8)
+        a = annihilation_op(d)
+        n_op, aad_op = quadratic_ops(d, mode)
+        ident = np.eye(d * d)
+        rate = p.field_rate
+        number = sandwich_superop(n_op, np.eye(d)) - sandwich_superop(np.eye(d), n_op)
+        g_gg = -(rate * 0.5 * (sandwich_superop(n_op, np.eye(d)) + sandwich_superop(np.eye(d), n_op))
+                 - 1j * p.kappa * p.delta * number + p.gamma_ge * ident)
+        g_ee = -(rate * 0.5 * (sandwich_superop(aad_op, np.eye(d)) + sandwich_superop(np.eye(d), aad_op))
+                 + 1j * p.kappa * p.delta * number + p.gamma_eg * ident)
+        g_ge = rate * sandwich_superop(a.conj().T, a) + p.gamma_eg * ident
+        g_eg = rate * sandwich_superop(a, a.conj().T) + p.gamma_ge * ident
+        expected = np.block([[g_gg, g_ge], [g_eg, g_ee]])
+        assert np.max(np.abs(build_block_generator(p, d, mode) - expected)) < 1e-15
+
+    @pytest.mark.parametrize("mode", list(TruncationMode))
+    def test_stacked_generator_keeps_the_two_orders_of_a_block_apart(self, mode):
+        """Block b holds the coherence orders b (slots j < d - b) and b - d (the
+        rest); every entry that would link them is exactly zero."""
+        d = 5
+        stack = _stacked_generator(STRONG, d, mode)
+        assert stack.shape == (d, 2 * d, 2 * d)
+        for b in range(d):
+            slots = np.arange(d)
+            upper = np.r_[slots[slots < d - b], d + slots[slots < d - b]]
+            lower = np.r_[slots[slots >= d - b], d + slots[slots >= d - b]]
+            assert np.all(stack[b][np.ix_(upper, lower)] == 0.0)
+            assert np.all(stack[b][np.ix_(lower, upper)] == 0.0)
 
 
 class TestIntegration:
@@ -187,25 +222,35 @@ class TestIntegration:
     @pytest.mark.parametrize("mode", list(TruncationMode))
     @pytest.mark.parametrize("prep", list(Preparation))
     def test_kernel_is_classical_rk4(self, prep, mode):
-        """The sampled maps are those of the four-stage RK4 scheme on the block generator."""
-        d, dt, stride, n_steps = 3, 0.01, 7, 50
-        a = build_block_generator(STRONG, d, mode)
-        eye, zero = np.eye(d * d, dtype=complex), np.zeros((d * d, d * d), dtype=complex)
-        y = np.concatenate((eye, zero) if prep is Preparation.GROUND else (zero, eye))
-        expected = [y]
-        for step in range(1, n_steps + 1):
-            k1 = a @ y
-            k2 = a @ (y + 0.5 * dt * k1)
-            k3 = a @ (y + 0.5 * dt * k2)
-            k4 = a @ (y + dt * k3)
-            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if step % stride == 0 or step == n_steps:
-                expected.append(y)
-        expected = np.array(expected)
-        branch = integrate_instrument(STRONG, d, prep, n_steps * dt, dt, mode, stride)
-        assert np.array_equal(branch.times, dt * np.array([0, 7, 14, 21, 28, 35, 42, 49, 50]))
-        assert np.max(np.abs(branch.m_g - expected[:, : d * d])) < 1e-13
-        assert np.max(np.abs(branch.m_e - expected[:, d * d :])) < 1e-13
+        """The sampled maps and conditional states are those of the four-stage RK4
+        scheme on the block generator, with a stride that does not divide the run."""
+        dt, stride, n_steps = 0.01, 7, 50
+        for d in (1, 3):
+            a = build_block_generator(STRONG, d, mode)
+            rho = rand_density(np.random.default_rng(d), d)
+            # columns: the identity map, then the state, on the prepared branch
+            field = np.column_stack([np.eye(d * d), vec(rho)])
+            zero = np.zeros_like(field)
+            y = np.concatenate((field, zero) if prep is Preparation.GROUND else (zero, field))
+            expected = [y]
+            for step in range(1, n_steps + 1):
+                k1 = a @ y
+                k2 = a @ (y + 0.5 * dt * k1)
+                k3 = a @ (y + 0.5 * dt * k2)
+                k4 = a @ (y + dt * k3)
+                y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if step % stride == 0 or step == n_steps:
+                    expected.append(y)
+            expected = np.array(expected)
+            g, e = expected[:, : d * d], expected[:, d * d :]
+            branch = integrate_instrument(STRONG, d, prep, n_steps * dt, dt, mode, stride)
+            assert np.array_equal(branch.times, dt * np.array([0, 7, 14, 21, 28, 35, 42, 49, 50]))
+            assert np.max(np.abs(branch.m_g - g[..., :-1])) < 1e-13
+            assert np.max(np.abs(branch.m_e - e[..., :-1])) < 1e-13
+            times, y_g, y_e = conditional_trajectories(STRONG, d, prep, rho, n_steps * dt, dt, mode, stride)
+            assert np.array_equal(times, branch.times)
+            assert np.max(np.abs(y_g - unvec(g[..., -1]))) < 1e-13
+            assert np.max(np.abs(y_e - unvec(e[..., -1]))) < 1e-13
 
     def test_divergence_raises_with_time(self):
         p = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
@@ -259,6 +304,9 @@ class TestIntegration:
             conditional_trajectories(STRONG, 2, Preparation.GROUND, maximally_mixed(2), 1e300, 1e-10)
         with pytest.raises(ValueError, match=r"2\*\*63"):
             extract_instrument_oracle(STRONG, 2, Preparation.GROUND, 1e300, 1e-10)
+        # numpy scalars are converted before dividing, so the overflow is no RuntimeWarning
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            integrate_instrument(STRONG, 2, Preparation.GROUND, np.float64(1e300), np.float64(1e-10))
         # a fractional or boolean stride would silently change the sampling
         for stride in (2.5, True):
             with pytest.raises(ValueError, match="stride"):
@@ -269,6 +317,7 @@ class TestIntegration:
             raise AssertionError("generator built before the time grid was checked")
 
         monkeypatch.setattr("cavityprobe.instrument.build_block_generator", refuse)
+        monkeypatch.setattr("cavityprobe.instrument._stacked_generator", refuse)
         monkeypatch.setattr("cavityprobe.oracle._liouvillian", refuse)
         # dt_limit(slow) = 0.01, so the oracle's step-size check lets dt = 0.01 through
         slow = ModelParams(omega=0.1, delta=0.0, gamma_big=1.0, gamma_ge=0.0, gamma_eg=0.5)

@@ -153,3 +153,22 @@ class TestMetricsSeries:
         for rec in metrics_series(*conditional_trajectories(STRONG, 3, Preparation.EXCITED, rho, 8.0, 0.01, stride=40), rho):
             assert -1e-12 <= rec.p_g <= 1 + 1e-9
             assert -1e-12 <= rec.p_e <= 1 + 1e-9
+
+    def test_each_conditional_state_is_decomposed_twice(self, monkeypatch):
+        """Entropy and fidelity need one eigendecomposition of each state and one of
+        root @ state @ root; the states' PSD check rides on the first."""
+        import cavityprobe.metrics as metrics
+
+        decomposed = []
+        checked_eigh = metrics._checked_eigh
+
+        def counting(rho):
+            decomposed.append(int(np.prod(np.shape(rho)[:-2])))
+            return checked_eigh(rho)
+
+        monkeypatch.setattr(metrics, "_checked_eigh", counting)
+        rho = maximally_mixed(3)
+        records = metrics_series(*conditional_trajectories(STRONG, 3, Preparation.GROUND, rho, 2.0, 0.01, stride=20), rho)
+        states = sum(rec.defined_g + rec.defined_e for rec in records)
+        # plus one decomposition of rho_f for its entropy and one for its square root
+        assert sum(decomposed) == 2 * states + 2
