@@ -151,9 +151,7 @@ def _dense(blocks: np.ndarray, block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stacked_generator(
-    p: ModelParams, d: int, mode: TruncationMode = TruncationMode.ALGEBRAIC_CLOSURE
-) -> np.ndarray:
+def _stacked_generator(p: ModelParams, d: int, mode: TruncationMode) -> np.ndarray:
     """The block generator as the (d, 2d, 2d) stack of its coherence blocks.
 
     Row or column j < d of block b is slot j of the g branch, the entry

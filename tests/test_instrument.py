@@ -86,7 +86,7 @@ class TestBlockGenerator:
     @pytest.mark.parametrize("mode", list(TruncationMode))
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_matches_dense_ladder_construction(self, d, mode):
-        """The generator scattered from the sector stack equals the blocks built
+        """The generator scattered from the stack of coherence blocks equals the blocks built
         from Kronecker sandwiches of the ladder operators, entry for entry."""
         p = ModelParams(omega=0.9, delta=-1.3, gamma_big=1.7, gamma_ge=0.3, gamma_eg=0.8)
         a = annihilation_op(d)
@@ -110,8 +110,8 @@ class TestBlockGenerator:
         d = 5
         stack = _stacked_generator(STRONG, d, mode)
         assert stack.shape == (d, 2 * d, 2 * d)
+        slots = np.arange(d)
         for b in range(d):
-            slots = np.arange(d)
             upper = np.r_[slots[slots < d - b], d + slots[slots < d - b]]
             lower = np.r_[slots[slots >= d - b], d + slots[slots >= d - b]]
             assert np.all(stack[b][np.ix_(upper, lower)] == 0.0)
