@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,11 +63,8 @@ PRESETS = {
 
 CSV_COLUMNS = ["t", "P_g", "P_e", "I_g", "I_e", "F_g", "F_e", "S_g", "S_e", "defined_g", "defined_e"]
 
-_RATE_KEYS = ("omega", "delta", "gamma_big", "gamma_ge", "gamma_eg")
-_ALL_KEYS = set(_RATE_KEYS) | {
-    "preset", "d", "initial_state", "n", "prep", "t_max", "dt", "stride",
-    "truncation", "log_base", "csv_out", "svg_out",
-}
+_PLOT_COLUMNS = ("P_g", "I_g", "F_g")  # what `run` plots, and `plot`'s default
+_MAX_ENTRIES = np.iinfo(np.intp).max // 16  # complex entries in numpy's largest array
 _PREPARATIONS = {"g": Preparation.GROUND, "ground": Preparation.GROUND,
                  "e": Preparation.EXCITED, "excited": Preparation.EXCITED}
 
@@ -104,6 +101,10 @@ class RunConfig:
         return fock_state(self.d, self.n)
 
 
+_RATE_KEYS = tuple(f.name for f in fields(ModelParams))
+_ALL_KEYS = {f.name for f in fields(RunConfig)}
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
@@ -113,15 +114,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _number(key: str, value) -> float:
+    """The value of config key `key` as a float; ConfigError unless it is a number that fits one."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} is an integer too large for a float") from None
 
 
 def parse_config(document: str) -> RunConfig:
     """Parse and validate a flat JSON config document."""
     try:
         raw = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an integer too long or nesting too deep to decode
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return _config_from(raw)
 
@@ -134,16 +140,15 @@ def _config_from(raw: dict) -> RunConfig:
 
     preset = raw.get("preset")
     if preset is not None:
-        _require(preset in PRESETS, f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+        _require(isinstance(preset, str) and preset in PRESETS,
+                 f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
         clash = sorted(set(raw) & set(_RATE_KEYS))
         _require(not clash, f"preset {preset!r} conflicts with explicit keys: {', '.join(clash)}")
         rates = dict(PRESETS[preset])
     else:
         missing = sorted(set(_RATE_KEYS) - set(raw))
         _require(not missing, f"missing rate keys (or use a preset): {', '.join(missing)}")
-        rates = {k: raw[k] for k in _RATE_KEYS}
-    for key, value in rates.items():
-        _require(_is_number(value), f"{key} must be a number, got {value!r}")
+        rates = {k: _number(k, raw[k]) for k in _RATE_KEYS}
 
     for key in ("d", "initial_state", "prep", "t_max", "csv_out"):
         _require(key in raw, f"missing required key {key!r}")
@@ -161,17 +166,23 @@ def _config_from(raw: dict) -> RunConfig:
         _require(n is None, "key 'n' is only meaningful with initial_state 'fock'")
 
     prep_raw = raw["prep"]
-    _require(prep_raw in _PREPARATIONS, f"prep must be one of {sorted(_PREPARATIONS)}, got {prep_raw!r}")
+    _require(isinstance(prep_raw, str) and prep_raw in _PREPARATIONS,
+             f"prep must be one of {sorted(_PREPARATIONS)}, got {prep_raw!r}")
 
-    t_max = raw["t_max"]
-    dt = raw.get("dt", RunConfig.dt)
+    t_max = _number("t_max", raw["t_max"])
+    dt = _number("dt", raw.get("dt", RunConfig.dt))
     stride = raw.get("stride", RunConfig.stride)
-    for key, value in (("t_max", t_max), ("dt", dt)):
-        _require(_is_number(value), f"{key} must be a number, got {value!r}")
     try:
-        _sample_steps(t_max, dt, stride)
+        n_steps = _sample_steps(t_max, dt, stride)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # The run's largest arrays, the (d, 2d, 2d) block generator and the
+    # (samples, d, 2d) state buffer, must fit numpy's size limit; they are
+    # counted here, not allocated.
+    _require(4 * d**3 <= _MAX_ENTRIES, "d is too large for the block generator to fit one numpy array; lower d")
+    samples = -(-n_steps // stride) + 1
+    _require(2 * samples * d * d <= _MAX_ENTRIES,
+             f"{samples} samples at d={d} do not fit one numpy array; lower d or the sample count t_max/(dt*stride)")
 
     truncation_raw = raw.get("truncation", RunConfig.truncation.value)
     try:
@@ -197,7 +208,7 @@ def _config_from(raw: dict) -> RunConfig:
 
     config = RunConfig(
         **rates, d=d, initial_state=initial_state, n=n,
-        prep=_PREPARATIONS[prep_raw], t_max=float(t_max), dt=float(dt), stride=stride,
+        prep=_PREPARATIONS[prep_raw], t_max=t_max, dt=dt, stride=stride,
         truncation=truncation, log_base=log_base, csv_out=csv_out, svg_out=svg_out,
         preset=preset,
     )
@@ -249,7 +260,7 @@ def run(config: RunConfig, emit_oracle_report: bool = False) -> str:
     text = render_csv(records)
     _write_text(config.csv_out, text)
     if config.svg_out:
-        _write_text(config.svg_out, plot(text, ["P_g", "I_g", "F_g"]))
+        _write_text(config.svg_out, plot(text, list(_PLOT_COLUMNS)))
     if emit_oracle_report:
         refine = max(1, math.ceil(config.dt / dt_limit(params) - 1e-12))
         residual = secular_residual(
@@ -471,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plot = sub.add_parser("plot", help="render selected CSV columns as an SVG")
     p_plot.add_argument("--csv", required=True)
     p_plot.add_argument("--out", required=True)
-    p_plot.add_argument("--columns", default="P_g,I_g,F_g", help="comma-separated column names")
+    p_plot.add_argument("--columns", default=",".join(_PLOT_COLUMNS), help="comma-separated column names")
     p_plot.set_defaults(func=_cmd_plot)
     return parser
 

@@ -19,9 +19,10 @@ independent sectors, one per order q = 1 - d .. d - 1, of 2 (d - |q|)
 entries (X_g, X_e)_ij each.  The orders b and b - d (b = 0 .. d - 1) fill
 exactly d slots together, so they share block b: slot j of the block is the
 entry X_ij with i = (j + b) mod d, the g slots come first and the e slots
-follow at offset d.  The ladder weight sqrt(i) sqrt(j) between slots j - 1
-and j vanishes where i wraps to 0, which is exactly where the two orders
-meet, so they stay unlinked inside the block.  The whole generator is one
+follow at offset d.  _slots states this rule, and every index of the layout
+derives from it.  The ladder weight sqrt(i) sqrt(j) between slots j - 1 and
+j vanishes where i wraps to 0, which is exactly where the two orders meet,
+so they stay unlinked inside the block.  The whole generator is one
 (d, 2d, 2d) array on which matrix products broadcast, with no padding.
 """
 
@@ -33,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .fock import TruncationMode, check_density_matrix, quadratic_ops
-from .superop import vec
+from .superop import unvec
 
 __all__ = [
     "DivergenceError",
@@ -132,35 +133,34 @@ class InstrumentBranch:
     m_e: np.ndarray
 
 
-def _block_index(d: int) -> np.ndarray:
-    """Block (i - j) mod d of each entry X_ij, as a d x d array; the entry's slot in its block is j."""
+def _slots(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slot rule as (i, j), i[b, j] = (j + b) mod d and j = arange(d): X[i, j][b, j] is slot j of block b."""
     j = np.arange(d)
-    return (j[:, None] - j) % d
+    return (j + j[:, None]) % d, j
 
 
-def _dense(blocks: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Dense (..., K, K) matrices from the (..., B, m, m) stack of their diagonal blocks.
+def _dense(blocks: np.ndarray) -> np.ndarray:
+    """Dense matrices from a (..., d, 2d, n) stack of blocks, n = d or 2d; entries across blocks are 0.
 
-    block[k] is the block of index k; the indices of block b, in increasing
-    order, are its rows and columns.  Entries across blocks are 0.
+    The rows of block b are its g and then its e slots in the stacked pair
+    (vec X_g, vec X_e), and its columns are the first n of those.
     """
-    out = np.zeros((*blocks.shape[:-3], len(block), len(block)), dtype=complex)
-    for b in range(blocks.shape[-3]):
-        index = np.flatnonzero(block == b)
-        out[..., index[:, None], index] = blocks[..., b, :, :]
+    d, n = blocks.shape[-3], blocks.shape[-1]
+    position = unvec(np.arange(d * d))[_slots(d)]
+    pair = np.hstack((position, d * d + position))
+    out = np.zeros((*blocks.shape[:-3], 2 * d * d, n * d), dtype=complex)
+    out[..., pair[:, :, None], pair[:, None, :n]] = blocks
     return out
 
 
 def _stacked_generator(p: ModelParams, d: int, mode: TruncationMode) -> np.ndarray:
     """The block generator as the (d, 2d, 2d) stack of its coherence blocks.
 
-    Row or column j < d of block b is slot j of the g branch, the entry
-    X_ij with i = (j + b) mod d, and d + j is the same slot of the e branch
-    (see the module docstring).
+    Row or column j < d of block b is slot j (see _slots) of the g branch,
+    and d + j is the same slot of the e branch.
     """
     n, aad = (op.diagonal() for op in quadratic_ops(d, mode))
-    j = np.arange(d)
-    i = (j + j[:, None]) % d
+    i, j = _slots(d)
     # a+a and a a+ are diagonal, so G_gg and G_ee only scale each X_ij: by
     # (x_i + x_j)/2 for {x, .}/2 and by n_i - n_j for N.
     rotation = 1j * p.kappa * p.delta * (n[i] - n[j])
@@ -198,7 +198,7 @@ def build_block_generator(
     branches in opposite senses.  The dense matrix is scattered from the
     stack of coherence blocks that the integrators propagate.
     """
-    return _dense(_stacked_generator(p, d, mode), np.tile(vec(_block_index(d)), 2))
+    return _dense(_stacked_generator(p, d, mode))
 
 
 def _sample_steps(t_max: float, dt: float, stride: int) -> int:
@@ -228,7 +228,8 @@ def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, dt: float, n_steps: int
     power once for each distinct gap between samples (stride, and the
     remainder that ends at n_steps), and each sample costs one product.
     matrix may be a (..., n, n) stack with state0 (..., n, k); products
-    broadcast over the stack.  Returns (times, samples).
+    broadcast over the stack.  Returns (times, samples); the run goes to its
+    horizon and then raises DivergenceError at the first non-finite sample.
     """
     steps = np.append(np.arange(0, n_steps, stride), n_steps)
     gaps = np.diff(steps)
@@ -240,10 +241,10 @@ def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, dt: float, n_steps: int
         step = eye + m @ (eye + m @ (eye + m @ (eye + m / 4) / 3) / 2)
         powers = {gap: np.linalg.matrix_power(step, gap) for gap in {gaps[0], gaps[-1]}}
         for k, gap in enumerate(gaps, 1):
-            state = powers[gap] @ state
-            if not np.all(np.isfinite(state.view(float))):
-                raise DivergenceError(steps[k] * dt)
-            samples[k] = state
+            samples[k] = state = powers[gap] @ state
+    finite = np.isfinite(samples).reshape(len(steps), -1).all(axis=1)
+    if not finite.all():
+        raise DivergenceError(steps[np.argmin(finite)] * dt)
     return steps * dt, samples
 
 
@@ -257,16 +258,16 @@ def _propagate_blocks(
     mode: TruncationMode,
     stride: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 of the block stack with field0, a (d, d, k) stack of g or e slots, on the prepared branch.
+    """RK4 of the block stack from field0, the prepared branch's (d, d, k) slots, or (d, k) for every block.
 
-    Returns (times, samples) with samples of shape (2, T, d, d, k): the g and
-    then the e slots of each sample.
+    Returns (times, samples) with samples of shape (T, d, 2d, k): the g and
+    then the e slots of each block of each sample.
     """
     n_steps = _sample_steps(t_max, dt, stride)
-    zero = np.zeros_like(field0)
-    pair = (field0, zero) if Preparation(prep) is Preparation.GROUND else (zero, field0)
-    times, samples = _rk4_sampled(_stacked_generator(p, d, mode), np.concatenate(pair, axis=-2), dt, n_steps, stride)
-    return times, np.moveaxis(samples.reshape(*samples.shape[:-2], 2, d, -1), -3, 0)
+    state0 = np.zeros((d, 2 * d, field0.shape[-1]), dtype=complex)
+    offset = 0 if Preparation(prep) is Preparation.GROUND else d
+    state0[:, offset : offset + d] = field0
+    return _rk4_sampled(_stacked_generator(p, d, mode), state0, dt, n_steps, stride)
 
 
 def integrate_instrument(
@@ -283,10 +284,9 @@ def integrate_instrument(
     Classical fixed-step RK4; deterministic for fixed inputs.  t_max must be
     a whole number of steps of size dt.
     """
-    field0 = np.tile(np.eye(d, dtype=complex), (d, 1, 1))
-    times, samples = _propagate_blocks(p, d, prep, field0, t_max, dt, mode, stride)
-    m_g, m_e = _dense(samples, vec(_block_index(d)))
-    return InstrumentBranch(prep=Preparation(prep), times=times, m_g=m_g, m_e=m_e)
+    times, samples = _propagate_blocks(p, d, prep, np.eye(d), t_max, dt, mode, stride)
+    maps = _dense(samples)
+    return InstrumentBranch(prep=Preparation(prep), times=times, m_g=maps[:, : d * d], m_e=maps[:, d * d :])
 
 
 def conditional_trajectories(
@@ -310,10 +310,10 @@ def conditional_trajectories(
     if rho_f.shape != (d, d):
         raise ValueError(f"initial state shape {rho_f.shape} does not match d={d}")
     check_density_matrix(rho_f)
-    block, slot = _block_index(d), np.arange(d)
-    field0 = np.zeros((d, d, 1), dtype=complex)
-    field0[block, slot, 0] = rho_f
-    times, samples = _propagate_blocks(p, d, prep, field0, t_max, dt, mode, stride)
-    y_g, y_e = samples[..., block, slot, 0]
+    i, j = _slots(d)
+    times, samples = _propagate_blocks(p, d, prep, rho_f[i, j, None], t_max, dt, mode, stride)
+    y_g, y_e = np.empty((2, len(times), d, d), dtype=complex)
+    y_g[:, i, j] = samples[..., :d, 0]
+    y_e[:, i, j] = samples[..., d:, 0]
     return times, y_g, y_e
 

@@ -3,11 +3,13 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cavityprobe.cli import (
     CSV_COLUMNS,
     ConfigError,
     PRESETS,
+    RunConfig,
     config_warnings,
     figure_grid_configs,
     main,
@@ -46,6 +48,21 @@ def read_rows(path):
     lines = Path(path).read_text().splitlines()
     header = lines[0].split(",")
     return header, [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+CONFIG_KEYS = sorted(f.name for f in dataclasses.fields(RunConfig))
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**400), 10**400),
+    st.floats(),
+    st.sampled_from(["g", "excited", "weak", "strong", "mixed", "fock", "strict", "out.csv"]),
+    st.text(max_size=8),
+)
+CONFIG_VALUES = st.one_of(
+    SCALARS, st.lists(SCALARS, max_size=3), st.dictionaries(st.text(max_size=4), SCALARS, max_size=3)
+)
 
 
 class TestParseConfig:
@@ -97,6 +114,13 @@ class TestParseConfig:
             {"stride": True},
             {"initial_state": "fock", "n": False},
             {"t_max": 1e300, "dt": 1e-10},
+            # not strings, and not hashable either
+            {"prep": ["g"]},
+            {"preset": ["weak"]},
+            # integers too large for a float
+            {"preset": None, "omega": 10**400, "delta": 0.0, "gamma_big": 1.0, "gamma_ge": 0.0, "gamma_eg": 0.0},
+            {"t_max": 10**400},
+            {"dt": 10**400},
         ],
     )
     def test_invalid_configs_rejected(self, overrides, tmp_path):
@@ -117,6 +141,25 @@ class TestParseConfig:
     def test_not_json(self):
         with pytest.raises(ConfigError, match="valid JSON"):
             parse_config("d: 3")
+        # too deep for the decoder's recursion, and an integer past Python's digit limit
+        for document in ("[" * 100_000 + "]" * 100_000, '{"d": 1' + "0" * 5000 + "}"):
+            with pytest.raises(ConfigError, match="valid JSON"):
+                parse_config(document)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.dictionaries(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES),
+        st.sets(st.sampled_from(CONFIG_KEYS)),
+    )
+    def test_any_flat_document_gives_a_config_or_config_error(self, overrides, dropped):
+        """A flat object over the config keys, starting from a valid one with
+        keys replaced or dropped, parses to a RunConfig or raises ConfigError."""
+        raw = {k: v for k, v in {**make_config(Path("/tmp")), **overrides}.items() if k not in dropped}
+        try:
+            config = parse_config(json.dumps(raw))
+        except ConfigError:
+            return
+        assert isinstance(config, RunConfig)
 
     def test_secular_warning(self, tmp_path):
         cfg = parse_config(json.dumps(make_config(tmp_path, preset="strong")))
@@ -288,6 +331,25 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         # the sample buffer grows with t_max/(dt*stride) as much as with d, so both are named
         assert "lower d" in err and "t_max/(dt*stride)" in err
+
+    HUGE = 10**400
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("overrides, named", [
+        ({"prep": ["g"]}, "prep"),
+        ({"preset": ["weak"]}, "preset"),
+        ({"preset": None, "omega": HUGE, "delta": 0.0, "gamma_big": 1.0, "gamma_ge": 0.0, "gamma_eg": 0.0}, "omega"),
+        ({"t_max": HUGE}, "t_max"),
+        ({"dt": HUGE}, "dt"),
+        # too large for any numpy array: counted, never allocated
+        ({"d": 10**10}, "lower d"),
+        ({"d": HUGE}, "lower d"),
+        ({"d": 2, "t_max": 9e18, "dt": 1.0}, "t_max/(dt*stride)"),
+    ], ids=["prep-list", "preset-list", "omega-1e400", "t_max-1e400", "dt-1e400", "d-1e10", "d-1e400", "samples-9e17"])
+    def test_bad_values_are_2_with_one_error_line(self, tmp_path, capsys, verb, overrides, named):
+        assert main([verb, "--config", str(write_config(tmp_path, **overrides))]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
 
     def test_validate_does_not_allocate_the_samples(self, tmp_path, capsys):
         # 1e15 samples could never be stored, but validating the grid needs only the step count

@@ -257,6 +257,20 @@ class TestIntegration:
         with pytest.raises(DivergenceError) as err:
             integrate_instrument(p, 6, Preparation.GROUND, 4000.0, 2.0, stride=100)
         assert err.value.t > 0
+        # RK4 is unstable here: field_rate = 250, so dt times the three-photon
+        # decay rate is 7.5, past RK4's real-axis limit of about 2.79.  The
+        # samples are finite up to t = 0.9 and overflow at the sample t = 1.0,
+        # which is the time reported even though the run goes on to t = 3.
+        unstable = ModelParams(omega=1.0, delta=0.0, gamma_big=0.008, gamma_ge=0.0, gamma_eg=0.01)
+        rho = maximally_mixed(4)
+        for run in (
+            lambda t_max: integrate_instrument(unstable, 4, Preparation.GROUND, t_max, 0.01, stride=10).m_g,
+            lambda t_max: conditional_trajectories(unstable, 4, Preparation.GROUND, rho, t_max, 0.01, stride=10)[1],
+        ):
+            with pytest.raises(DivergenceError) as err:
+                run(3.0)
+            assert err.value.t == 1.0
+            assert np.all(np.isfinite(run(0.9)))
 
     def test_preparation_given_by_value_selects_its_branch(self):
         for prep in Preparation:

@@ -1,11 +1,13 @@
 """Property tests of the outcome maps over random rates, d, preparations and truncations.
 
 The rates stay inside RK4's stable region at dt = 0.01 (gamma_big >= 0.5,
-omega <= 1).  Outside it the integration can blow up without raising: at
-omega = 1, delta = 0, gamma_big ~ 0.008 the maps come back non-finite or
-with a Choi eigenvalue near -1.5e16.  Rejecting such rates before
-integrating needs a stability check the package does not have yet, so these
-tests leave that region out.
+omega <= 1).  Outside it the integration blows up: at omega = 1, delta = 0,
+gamma_big = 0.008 and d >= 2 the maps overflow before T_MAX, and the
+integrators raise DivergenceError at the first non-finite sample.  Over a
+shorter run the same maps come back finite but far from completely positive
+(a Choi eigenvalue of -3e160 at d = 4, t = 0.5).  Rejecting such rates
+before integrating needs a stability check the package does not have yet,
+so these tests leave that region out.
 """
 
 import numpy as np
