@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -229,19 +230,20 @@ def config_warnings(config: RunConfig) -> list[str]:
     return out
 
 
-def _cell(value: float | bool | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(float(value))
+_RECORD_ROW = operator.attrgetter(*(f.name for f in fields(MetricsRecord)))
+
+
+def _column_cells(values: tuple) -> list[str]:
+    """CSV cells of one column: true/false for a flag column, and repr of each number with None as ""."""
+    if isinstance(values[0], bool):
+        return ["true" if value else "false" for value in values]
+    return ["" if value is None else repr(float(value)) for value in values]
 
 
 def render_csv(records: list[MetricsRecord]) -> str:
     """One row per record; MetricsRecord declares its fields in CSV_COLUMNS order."""
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(map(_cell, vars(rec).values())) for rec in records)
-    return "\n".join(lines) + "\n"
+    columns = map(_column_cells, zip(*map(_RECORD_ROW, records)))
+    return "\n".join([",".join(CSV_COLUMNS), *map(",".join, zip(*columns))]) + "\n"
 
 
 def _write_text(path: str, text: str) -> None:

@@ -143,13 +143,17 @@ def _dense(blocks: np.ndarray) -> np.ndarray:
     """Dense matrices from a (..., d, 2d, n) stack of blocks, n = d or 2d; entries across blocks are 0.
 
     The rows of block b are its g and then its e slots in the stacked pair
-    (vec X_g, vec X_e), and its columns are the first n of those.
+    (vec X_g, vec X_e), and its columns are the first n of those.  The
+    matrices are scattered one at a time, so each write lands in the one
+    matrix being filled rather than striding across the leading axes.
     """
     d, n = blocks.shape[-3], blocks.shape[-1]
     position = unvec(np.arange(d * d))[_slots(d)]
     pair = np.hstack((position, d * d + position))
+    flat = (pair[:, :, None] * (n * d) + pair[:, None, :n]).ravel()
     out = np.zeros((*blocks.shape[:-3], 2 * d * d, n * d), dtype=complex)
-    out[..., pair[:, :, None], pair[:, None, :n]] = blocks
+    for dst, src in zip(out.reshape(-1, 2 * d * d * n * d), blocks.reshape(-1, flat.size)):
+        dst[flat] = src
     return out
 
 

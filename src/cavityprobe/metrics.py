@@ -125,7 +125,8 @@ def metrics_series(
     """
     rho_f = np.asarray(rho_f, dtype=complex)
     check_density_matrix(rho_f)
-    y = np.stack([y_g, y_e], axis=1)
+    # C order first, so the rounding of every later step does not depend on the inputs' strides.
+    y = np.ascontiguousarray(np.stack([y_g, y_e], axis=1))
     if y.shape != (len(times), 2, *rho_f.shape):
         raise ValueError(f"y_g and y_e must have shape {(len(times), *rho_f.shape)}, got {np.shape(y_g)}")
     p = np.trace(y, axis1=-2, axis2=-1)
@@ -140,14 +141,12 @@ def metrics_series(
     y = y[defined]
     states = 0.5 * (y + y.conj().swapaxes(-1, -2)) / p[defined][:, None, None]
     entropy = von_neumann_entropy(states, base)  # also the PSD check of states that _fidelity relies on
-    columns = {"p": p.tolist(), "defined": defined.tolist()}
+    # Each cell list holds a (T, 2) column transposed: its g and then its e values.
+    cells = {"p": p.T.tolist(), "defined": defined.T.tolist()}
     for name, values in (("s", entropy), ("i", von_neumann_entropy(rho_f, base) - entropy),
                          ("f", _fidelity(sqrtm_psd(rho_f), states))):
         column = np.full(p.shape, None, dtype=object)
         column[defined] = values
-        columns[name] = column.tolist()
-    return [
-        MetricsRecord(t=float(t), **{f"{name}_{label}": column[k][j]
-                                     for name, column in columns.items() for j, label in enumerate("ge")})
-        for k, t in enumerate(times)
-    ]
+        cells[name] = column.T.tolist()
+    return list(map(MetricsRecord, np.asarray(times, dtype=float).tolist(), *cells["p"], *cells["i"],
+                    *cells["f"], *cells["s"], *cells["defined"]))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -287,6 +288,37 @@ class TestSweep:
     def test_figure_grid_validates_time_grid(self, tmp_path):
         with pytest.raises(ConfigError, match="whole number"):
             figure_grid_configs(tmp_path, t_max=0.015, dt=0.01)
+
+    # sha256 of each file that `sweep --preset strong --t-max 1.0` writes.
+    STRONG_SWEEP_DIGESTS = {
+        "strong-fock-n1.csv": "d86f34f6cf1e51c39caf77c14631cd11fd3a279fb65010a6de6ad9cac934bac3",
+        "strong-fock-n3.csv": "881e735a39d3de01cb8c51947644d0b061263b293a0e6e813f38851e4821ec02",
+        "strong-fock-n5.csv": "a1a6a281004112fd5e52d1acfd888d0013c2e4b793f3235b0e011eb39cf5e841",
+        "strong-mixed-d2.csv": "0f027aff5baa731075f6e14f757b7e81acb16aa810ab7f5982610b974975c85d",
+        "strong-mixed-d4.csv": "15e68e8a706c28dd3f5ceb525ed34b5030c8f2bcfb1613d2f780ab2f1ccd5c4e",
+        "strong-mixed-d6.csv": "a35efe0883337b5f9caf17b48e6b203cd8bf76e45bbdd8e32f4bdaa81b212d95",
+        "strong-fock-n1.svg": "320a40d68897f54c2b7acc92baa35152b0468a69dfd533e5b301ca9e12d27b10",
+        "strong-fock-n3.svg": "1fa4b2e70cae508ef3f767d574f53582a7faabd99a2c3392a6ab09585c10265a",
+        "strong-fock-n5.svg": "563188aa125c062bb7441a15f37c5c546e511040af79f34468b08634d126c325",
+        "strong-mixed-d2.svg": "bc8c47293d53de7194eaf29e41d98dd52b7c051efa54ce13f3fa356de5d35e26",
+        "strong-mixed-d4.svg": "9a7388814f5e10edcb49237a008bf555b3eddefd5eb4f9c48b68c62d322b3bd9",
+        "strong-mixed-d6.svg": "5dcfe60abdccbf41546e925274cbcf18cbe2324e436f8e58c21924258b2db19d",
+    }
+
+    def test_strong_sweep_bytes_pinned(self, tmp_path):
+        """The CSV and SVG bytes of a short strong sweep do not drift.
+
+        Rewrites of the output path (scatter, metrics, CSV rendering) must
+        leave every byte as it was.  A change that moves the last digits on
+        purpose updates these digests and reports the largest change per
+        CSV column in CHANGES.md.  The digests hold for one floating-point
+        environment; a different BLAS build may round the last digits
+        differently.
+        """
+        assert main(["sweep", "--out-dir", str(tmp_path), "--preset", "strong", "--t-max", "1.0"]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.iterdir() if path.suffix in (".csv", ".svg")}
+        assert digests == self.STRONG_SWEEP_DIGESTS
 
     def test_empty_sweep_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -6,6 +6,8 @@ from cavityprobe.instrument import (
     DivergenceError,
     ModelParams,
     Preparation,
+    _dense,
+    _slots,
     _stacked_generator,
     build_block_generator,
     conditional_trajectories,
@@ -116,6 +118,28 @@ class TestBlockGenerator:
             lower = np.r_[slots[slots >= d - b], d + slots[slots >= d - b]]
             assert np.all(stack[b][np.ix_(upper, lower)] == 0.0)
             assert np.all(stack[b][np.ix_(lower, upper)] == 0.0)
+
+
+class TestDenseScatter:
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_matches_per_entry_placement(self, d, width, lead):
+        n = width * d
+        rng = np.random.default_rng(100 * d + 10 * width + len(lead))
+        blocks = rng.normal(size=(*lead, d, 2 * d, n)) + 1j * rng.normal(size=(*lead, d, 2 * d, n))
+        i, j = _slots(d)
+        # Slot s of block b is X[i[b, s], j[s]]; column stacking puts it at i + d j
+        # of its branch, and the e branch follows the g branch at offset d^2.
+        expected = np.zeros((*lead, 2 * d * d, n * d), dtype=complex)
+        for index in np.ndindex(*lead):
+            for b in range(d):
+                for r in range(2 * d):
+                    for c in range(n):
+                        row = (r // d) * d * d + i[b, r % d] + d * j[r % d]
+                        col = (c // d) * d * d + i[b, c % d] + d * j[c % d]
+                        expected[(*index, row, col)] = blocks[(*index, b, r, c)]
+        assert np.array_equal(_dense(blocks), expected)
 
 
 class TestIntegration:

@@ -154,6 +154,18 @@ class TestMetricsSeries:
             assert -1e-12 <= rec.p_g <= 1 + 1e-9
             assert -1e-12 <= rec.p_e <= 1 + 1e-9
 
+    def test_records_do_not_depend_on_input_strides(self):
+        rho = maximally_mixed(4)
+        times, y_g, y_e = conditional_trajectories(STRONG, 4, Preparation.GROUND, rho, 10.0, 0.01, stride=10)
+
+        def time_innermost(y):
+            out = np.moveaxis(np.ascontiguousarray(np.moveaxis(y, 0, -1)), -1, 0)
+            assert np.array_equal(out, y) and out.strides[0] == out.itemsize
+            return out
+
+        assert metrics_series(times, time_innermost(y_g), time_innermost(y_e), rho) == \
+            metrics_series(times, y_g, y_e, rho)
+
     def test_each_conditional_state_is_decomposed_twice(self, monkeypatch):
         """Entropy and fidelity need one eigendecomposition of each state and one of
         root @ state @ root; the states' PSD check rides on the first."""
