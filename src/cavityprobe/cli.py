@@ -25,7 +25,7 @@ from .instrument import (
     DivergenceError,
     ModelParams,
     Preparation,
-    _sample_steps,
+    _check_fits,
     conditional_trajectories,
 )
 from .instrument import integrate_instrument  # noqa: F401  perfbench's figure-grid trace rebinds this name
@@ -65,7 +65,7 @@ PRESETS = {
 CSV_COLUMNS = ["t", "P_g", "P_e", "I_g", "I_e", "F_g", "F_e", "S_g", "S_e", "defined_g", "defined_e"]
 
 _PLOT_COLUMNS = ("P_g", "I_g", "F_g")  # what `run` plots, and `plot`'s default
-_MAX_ENTRIES = np.iinfo(np.intp).max // 16  # complex entries in numpy's largest array
+_SWEEP_T_MAX = 10.0  # horizon of the figure grid
 _PREPARATIONS = {"g": Preparation.GROUND, "ground": Preparation.GROUND,
                  "e": Preparation.EXCITED, "excited": Preparation.EXCITED}
 
@@ -174,16 +174,9 @@ def _config_from(raw: dict) -> RunConfig:
     dt = _number("dt", raw.get("dt", RunConfig.dt))
     stride = raw.get("stride", RunConfig.stride)
     try:
-        n_steps = _sample_steps(t_max, dt, stride)
+        _check_fits(d, t_max, dt, stride)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    # The run's largest arrays, the (d, 2d, 2d) block generator and the
-    # (samples, d, 2d) state buffer, must fit numpy's size limit; they are
-    # counted here, not allocated.
-    _require(4 * d**3 <= _MAX_ENTRIES, "d is too large for the block generator to fit one numpy array; lower d")
-    samples = -(-n_steps // stride) + 1
-    _require(2 * samples * d * d <= _MAX_ENTRIES,
-             f"{samples} samples at d={d} do not fit one numpy array; lower d or the sample count t_max/(dt*stride)")
 
     truncation_raw = raw.get("truncation", RunConfig.truncation.value)
     try:
@@ -277,8 +270,8 @@ def run(config: RunConfig, emit_oracle_report: bool = False) -> str:
 
 def figure_grid_configs(
     out_dir: str | Path,
-    presets: tuple[str, ...] = ("strong", "weak"),
-    t_max: float = 10.0,
+    presets: tuple[str, ...] = tuple(PRESETS),
+    t_max: float = _SWEEP_T_MAX,
     dt: float = RunConfig.dt,
     stride: int = RunConfig.stride,
 ) -> list[RunConfig]:
@@ -370,13 +363,12 @@ def plot(csv_text: str, columns: list[str]) -> str:
     series = {}
     for name in columns:
         values = [number(k, row, name) for k, row in enumerate(rows, 1)]
-        pts = [(t, y) for t, y in zip(times, values) if y is not None]
-        if len(pts) < 2:
-            raise ConfigError(f"column {name!r} has fewer than 2 defined values")
-        series[name] = pts
+        series[name] = [(t, y) for t, y in zip(times, values) if y is not None]
+    y_values = [y for pts in series.values() for _, y in pts]
+    if not y_values:
+        raise ConfigError(f"no defined values to plot in columns: {', '.join(columns)}")
 
     x_lo, x_hi = min(times), max(times)
-    y_values = [y for pts in series.values() for _, y in pts]
     y_lo, y_hi = min(y_values), max(y_values)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
@@ -443,7 +435,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    presets = ("strong", "weak") if args.preset == "both" else (args.preset,)
+    presets = tuple(PRESETS) if args.preset == "both" else (args.preset,)
     configs = figure_grid_configs(args.out_dir, presets, args.t_max, args.dt, args.stride)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -475,8 +467,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the figure grid over presets and states")
     p_sweep.add_argument("--out-dir", required=True)
-    p_sweep.add_argument("--preset", choices=["strong", "weak", "both"], default="both")
-    p_sweep.add_argument("--t-max", type=float, default=10.0)
+    p_sweep.add_argument("--preset", choices=[*PRESETS, "both"], default="both")
+    p_sweep.add_argument("--t-max", type=float, default=_SWEEP_T_MAX)
     p_sweep.add_argument("--dt", type=float, default=RunConfig.dt)
     p_sweep.add_argument("--stride", type=int, default=RunConfig.stride)
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -157,11 +157,24 @@ def _dense(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stacked_generator(p: ModelParams, d: int, mode: TruncationMode) -> np.ndarray:
-    """The block generator as the (d, 2d, 2d) stack of its coherence blocks.
+def build_block_generator(
+    p: ModelParams, d: int, mode: TruncationMode = TruncationMode.ALGEBRAIC_CLOSURE
+) -> np.ndarray:
+    """The generator [[G_gg, G_ge], [G_eg, G_ee]] on (vec M_g, vec M_e) as its (d, 2d, 2d) stack of coherence blocks.
 
-    Row or column j < d of block b is slot j (see _slots) of the g branch,
-    and d + j is the same slot of the e branch.
+    With r = 2 * kappa * gamma_big, the ladder sandwiches K+ X = a+ X a and
+    K- X = a X a+, and the number commutator N X = [a+a, X]:
+
+        G_gg = -(r {a+a, .}/2 - i kappa delta N + gamma_ge Id)     G_ge = r K+ + gamma_eg Id
+        G_eg = r K- + gamma_ge Id       G_ee = -(r {a a+, .}/2 + i kappa delta N + gamma_eg Id)
+
+    with a a+ realized per the truncation mode.  Each branch loses what its
+    jump term hands to the other, Tr(a X a+) = Tr(a+a X) and
+    Tr(a+ X a) = Tr(a a+ X), so the pair conserves trace wherever the
+    realized a a+ is the truncated product; the detuning rotates the two
+    branches in opposite senses.  Row or column j < d of block b is slot j
+    (see _slots) of the g branch, and d + j is the same slot of the e
+    branch; _dense scatters the stack into the 2 d^2 x 2 d^2 matrix.
     """
     n, aad = (op.diagonal() for op in quadratic_ops(d, mode))
     i, j = _slots(d)
@@ -184,27 +197,6 @@ def _stacked_generator(p: ModelParams, d: int, mode: TruncationMode) -> np.ndarr
     return stack
 
 
-def build_block_generator(
-    p: ModelParams, d: int, mode: TruncationMode = TruncationMode.ALGEBRAIC_CLOSURE
-) -> np.ndarray:
-    """Outcome-resolved generator [[G_gg, G_ge], [G_eg, G_ee]] on the stacked pair (vec M_g, vec M_e).
-
-    With r = 2 * kappa * gamma_big, the ladder sandwiches K+ X = a+ X a and
-    K- X = a X a+, and the number commutator N X = [a+a, X]:
-
-        G_gg = -(r {a+a, .}/2 - i kappa delta N + gamma_ge Id)     G_ge = r K+ + gamma_eg Id
-        G_eg = r K- + gamma_ge Id       G_ee = -(r {a a+, .}/2 + i kappa delta N + gamma_eg Id)
-
-    with a a+ realized per the truncation mode.  Each branch loses what its
-    jump term hands to the other, Tr(a X a+) = Tr(a+a X) and
-    Tr(a+ X a) = Tr(a a+ X), so the pair conserves trace wherever the
-    realized a a+ is the truncated product; the detuning rotates the two
-    branches in opposite senses.  The dense matrix is scattered from the
-    stack of coherence blocks that the integrators propagate.
-    """
-    return _dense(_stacked_generator(p, d, mode))
-
-
 def _sample_steps(t_max: float, dt: float, stride: int) -> int:
     """Number of RK4 steps in the run, after checking the time grid and the stride.
 
@@ -221,6 +213,21 @@ def _sample_steps(t_max: float, dt: float, stride: int) -> int:
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride!r}")
     return n_steps
+
+
+def _check_fits(d: int, t_max: float, dt: float, stride: int) -> None:
+    """Check the time grid and that a one-state run fits numpy's size limit, counting its arrays without allocating them.
+
+    They are the (d, 2d, 2d) block generator and the (samples, d, 2d) state buffer.
+    """
+    n_steps = _sample_steps(t_max, dt, stride)
+    max_entries = np.iinfo(np.intp).max // 16  # complex entries in numpy's largest array
+    if 4 * d**3 > max_entries:
+        raise ValueError("d is too large for the block generator to fit one numpy array; lower d")
+    samples = -(-n_steps // stride) + 1
+    if 2 * samples * d * d > max_entries:
+        raise ValueError(f"{samples} samples at d={d} do not fit one numpy array; "
+                         "lower d or the sample count t_max/(dt*stride)")
 
 
 def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, dt: float, n_steps: int, stride: int):
@@ -271,7 +278,7 @@ def _propagate_blocks(
     state0 = np.zeros((d, 2 * d, field0.shape[-1]), dtype=complex)
     offset = 0 if Preparation(prep) is Preparation.GROUND else d
     state0[:, offset : offset + d] = field0
-    return _rk4_sampled(_stacked_generator(p, d, mode), state0, dt, n_steps, stride)
+    return _rk4_sampled(build_block_generator(p, d, mode), state0, dt, n_steps, stride)
 
 
 def integrate_instrument(

@@ -33,8 +33,8 @@ def test_trace_targets_resolve(name, tmp_path, monkeypatch):
         assert callable(getattr(module, attribute, None)), f"{module.__name__}.{attribute} is gone"
 
 
-@pytest.mark.parametrize("name", WORKLOADS)
-def test_traced_tiny_pass_matches_reference(name, tmp_path, monkeypatch):
+def traced_tiny_pass(name, tmp_path, monkeypatch):
+    """(worker module, tracer, checked operations) of one traced pass of workload `name` at the tiny size."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     worker = importlib.import_module("worker")
     tracing = importlib.import_module("tracing")
@@ -42,7 +42,21 @@ def test_traced_tiny_pass_matches_reference(name, tmp_path, monkeypatch):
     tracer = tracing.Tracer()
     with tracing.Patch(tracer, workload.trace_targets(cavityprobe)):
         _, _, ops = worker.run_pass(workload, tracer)
+    return worker, tracer, ops
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_traced_tiny_pass_matches_reference(name, tmp_path, monkeypatch):
+    worker, tracer, ops = traced_tiny_pass(name, tmp_path, monkeypatch)
     reference = json.loads(worker.REFERENCE.read_text(encoding="utf-8"))["tiny"][name]
     failed, _, messages = worker.compare(ops, reference)
     assert failed == 0, messages
     worker.layer_metrics(tracer)
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_generator_build_is_traced(name, tmp_path, monkeypatch):
+    """The integrators reach the block generator through the name the benchmark rebinds."""
+    _, tracer, _ = traced_tiny_pass(name, tmp_path, monkeypatch)
+    builds = [span for span in tracer.spans if span.name == "superop.generator_build"]
+    assert builds and all(span.end > span.start for span in builds)

@@ -261,7 +261,8 @@ class TestPlot:
         ("t,P_g,P_e\n0.0,1.0,0.0\n1.0,0.9\n", "P_e", "'P_e', data row 2: need a finite number, found no cell"),
         ("t,P_g\n0.0,1.0\n1.0,nan\n", "P_g", "'P_g', data row 2: need a finite number, found 'nan'"),
         ("t,P_g\n0.0,1.0\n,0.9\n", "P_g", "'t', data row 2: need a finite number, found ''"),
-    ], ids=["text-cell", "short-row", "nan-cell", "empty-t"])
+        ("t,P_g,I_g\n0.0,1.0,\n1.0,0.9,\n", "I_g", "no defined values to plot in columns: I_g"),
+    ], ids=["text-cell", "short-row", "nan-cell", "empty-t", "no-defined-values"])
     def test_bad_cells_exit_2(self, tmp_path, capsys, text, column, message):
         csv_path = tmp_path / "in.csv"
         csv_path.write_text(text)
@@ -328,6 +329,17 @@ class TestSweep:
 class TestMainExitCodes:
     def test_run_ok(self, tmp_path, capsys):
         assert main(["run", "--config", str(write_config(tmp_path))]) == 0
+
+    @pytest.mark.parametrize("overrides", [
+        # P_g stays 0, so I_g is never defined
+        {"preset": None, "omega": 0, "delta": 0, "gamma_big": 1, "gamma_ge": 0, "gamma_eg": 0, "prep": "e"},
+        # two samples, and I_g is undefined at the first
+        {"preset": "strong", "prep": "e", "t_max": 0.1},
+    ], ids=["never-defined", "defined-once"])
+    def test_run_plots_columns_with_few_defined_values(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path, svg_out=str(tmp_path / "out.svg"), **overrides)
+        assert main(["run", "--config", str(path)]) == 0
+        assert (tmp_path / "out.svg").read_text().count("<polyline") == 3
 
     def test_validate_ok(self, tmp_path, capsys):
         assert main(["validate", "--config", str(write_config(tmp_path))]) == 0

@@ -8,7 +8,6 @@ from cavityprobe.instrument import (
     Preparation,
     _dense,
     _slots,
-    _stacked_generator,
     build_block_generator,
     conditional_trajectories,
     integrate_instrument,
@@ -62,7 +61,7 @@ class TestModelParams:
 class TestBlockGenerator:
     def test_d1_ground_branch_is_frozen(self):
         p = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.0, gamma_eg=1.0)
-        (g_gg, g_ge), (g_eg, g_ee) = build_block_generator(p, 1)
+        (g_gg, g_ge), (g_eg, g_ee) = _dense(build_block_generator(p, 1))
         assert g_gg == 0
         assert g_eg == 0
         # excited branch decays and only the atomic channel flows back
@@ -72,7 +71,7 @@ class TestBlockGenerator:
     def test_blocks_real_on_diagonal_operands(self):
         rng = np.random.default_rng(5)
         d = 5
-        generator = build_block_generator(STRONG, d)
+        generator = _dense(build_block_generator(STRONG, d))
         assert generator.shape == (2 * d * d, 2 * d * d)
         diag = np.diag(rng.uniform(size=d)).astype(complex)
         halves = (slice(None, d * d), slice(d * d, None))
@@ -103,14 +102,14 @@ class TestBlockGenerator:
         g_ge = rate * sandwich_superop(a.conj().T, a) + p.gamma_eg * ident
         g_eg = rate * sandwich_superop(a, a.conj().T) + p.gamma_ge * ident
         expected = np.block([[g_gg, g_ge], [g_eg, g_ee]])
-        assert np.max(np.abs(build_block_generator(p, d, mode) - expected)) < 1e-15
+        assert np.max(np.abs(_dense(build_block_generator(p, d, mode)) - expected)) < 1e-15
 
     @pytest.mark.parametrize("mode", list(TruncationMode))
     def test_stacked_generator_keeps_the_two_orders_of_a_block_apart(self, mode):
         """Block b holds the coherence orders b (slots j < d - b) and b - d (the
         rest); every entry that would link them is exactly zero."""
         d = 5
-        stack = _stacked_generator(STRONG, d, mode)
+        stack = build_block_generator(STRONG, d, mode)
         assert stack.shape == (d, 2 * d, 2 * d)
         slots = np.arange(d)
         for b in range(d):
@@ -250,7 +249,7 @@ class TestIntegration:
         scheme on the block generator, with a stride that does not divide the run."""
         dt, stride, n_steps = 0.01, 7, 50
         for d in (1, 3):
-            a = build_block_generator(STRONG, d, mode)
+            a = _dense(build_block_generator(STRONG, d, mode))
             rho = rand_density(np.random.default_rng(d), d)
             # columns: the identity map, then the state, on the prepared branch
             field = np.column_stack([np.eye(d * d), vec(rho)])
@@ -355,7 +354,6 @@ class TestIntegration:
             raise AssertionError("generator built before the time grid was checked")
 
         monkeypatch.setattr("cavityprobe.instrument.build_block_generator", refuse)
-        monkeypatch.setattr("cavityprobe.instrument._stacked_generator", refuse)
         monkeypatch.setattr("cavityprobe.oracle._liouvillian", refuse)
         # dt_limit(slow) = 0.01, so the oracle's step-size check lets dt = 0.01 through
         slow = ModelParams(omega=0.1, delta=0.0, gamma_big=1.0, gamma_ge=0.0, gamma_eg=0.5)
