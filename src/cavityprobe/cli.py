@@ -408,6 +408,9 @@ def plot(csv_text: str, columns: list[str]) -> str:
         color = _PALETTE[k % len(_PALETTE)]
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in series[name])
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
+        if len(series[name]) == 1:  # a one-point polyline draws nothing, so mark the point
+            [(x, y)] = series[name]
+            parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="{color}"/>')
         ly = _MT + 16 + 18 * k
         lx = _SVG_W - _MR + 12
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')

@@ -24,6 +24,10 @@ derives from it.  The ladder weight sqrt(i) sqrt(j) between slots j - 1 and
 j vanishes where i wraps to 0, which is exactly where the two orders meet,
 so they stay unlinked inside the block.  The whole generator is one
 (d, 2d, 2d) array on which matrix products broadcast, with no padding.
+A block that starts at zero stays at zero, so one state's cost scales
+with the blocks its nonzero entries occupy: conditional_trajectories
+propagates only those, and a diagonal state (Fock, mixed, thermal) needs
+block 0 alone.  The maps start from the identity, which occupies all d.
 """
 
 from __future__ import annotations
@@ -268,17 +272,21 @@ def _propagate_blocks(
     dt: float,
     mode: TruncationMode,
     stride: int,
+    blocks: slice | np.ndarray = slice(None),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 of the block stack from field0, the prepared branch's (d, d, k) slots, or (d, k) for every block.
+    """RK4 of the n blocks of the stack that blocks selects (all d by default) from field0.
 
-    Returns (times, samples) with samples of shape (T, d, 2d, k): the g and
-    then the e slots of each block of each sample.
+    field0 holds the prepared branch's slots, (n, d, k), or (d, k) for each
+    selected block.  Returns (times, samples) with samples of shape
+    (T, n, 2d, k): the g and then the e slots of each selected block of each
+    sample.
     """
     n_steps = _sample_steps(t_max, dt, stride)
-    state0 = np.zeros((d, 2 * d, field0.shape[-1]), dtype=complex)
+    generator = build_block_generator(p, d, mode)[blocks]
+    state0 = np.zeros((len(generator), 2 * d, field0.shape[-1]), dtype=complex)
     offset = 0 if Preparation(prep) is Preparation.GROUND else d
     state0[:, offset : offset + d] = field0
-    return _rk4_sampled(build_block_generator(p, d, mode), state0, dt, n_steps, stride)
+    return _rk4_sampled(generator, state0, dt, n_steps, stride)
 
 
 def integrate_instrument(
@@ -313,17 +321,25 @@ def conditional_trajectories(
     """Unnormalized conditional states (M_g rho, M_e rho) along the run.
 
     Same dynamics as :func:`integrate_instrument` applied to a fixed initial
-    field state, propagating d x d matrices instead of full maps.  Returns
-    (times, y_g, y_e) with y_* of shape (T, d, d).  rho_f must be a density
-    matrix; anything else raises InvalidStateError before integrating.
+    field state, propagating d x d matrices instead of full maps.  Only the
+    coherence blocks that hold a nonzero entry of rho_f are propagated: the
+    generator never links blocks, so the others stay exactly 0 and are
+    returned as 0 without being integrated.  A diagonal state (Fock, mixed,
+    thermal) occupies block 0 alone.  An unoccupied block therefore never
+    raises DivergenceError, even where its own RK4 step would overflow.
+    Returns (times, y_g, y_e) with y_* of shape (T, d, d).  rho_f must be a
+    density matrix; anything else raises InvalidStateError before
+    integrating.
     """
     rho_f = np.asarray(rho_f, dtype=complex)
     if rho_f.shape != (d, d):
         raise ValueError(f"initial state shape {rho_f.shape} does not match d={d}")
     check_density_matrix(rho_f)
     i, j = _slots(d)
-    times, samples = _propagate_blocks(p, d, prep, rho_f[i, j, None], t_max, dt, mode, stride)
-    y_g, y_e = np.empty((2, len(times), d, d), dtype=complex)
+    live = np.flatnonzero(rho_f[i, j].any(axis=1))
+    i = i[live]
+    times, samples = _propagate_blocks(p, d, prep, rho_f[i, j, None], t_max, dt, mode, stride, live)
+    y_g, y_e = np.zeros((2, len(times), d, d), dtype=complex)
     y_g[:, i, j] = samples[..., :d, 0]
     y_e[:, i, j] = samples[..., d:, 0]
     return times, y_g, y_e

@@ -330,16 +330,21 @@ class TestMainExitCodes:
     def test_run_ok(self, tmp_path, capsys):
         assert main(["run", "--config", str(write_config(tmp_path))]) == 0
 
-    @pytest.mark.parametrize("overrides", [
+    @pytest.mark.parametrize("overrides, one_point", [
         # P_g stays 0, so I_g is never defined
-        {"preset": None, "omega": 0, "delta": 0, "gamma_big": 1, "gamma_ge": 0, "gamma_eg": 0, "prep": "e"},
-        # two samples, and I_g is undefined at the first
-        {"preset": "strong", "prep": "e", "t_max": 0.1},
+        ({"preset": None, "omega": 0, "delta": 0, "gamma_big": 1, "gamma_ge": 0, "gamma_eg": 0, "prep": "e"}, 0),
+        # two samples, and I_g and F_g are undefined at the first
+        ({"preset": "strong", "prep": "e", "t_max": 0.1}, 2),
     ], ids=["never-defined", "defined-once"])
-    def test_run_plots_columns_with_few_defined_values(self, tmp_path, capsys, overrides):
+    def test_run_plots_columns_with_few_defined_values(self, tmp_path, capsys, overrides, one_point):
         path = write_config(tmp_path, svg_out=str(tmp_path / "out.svg"), **overrides)
         assert main(["run", "--config", str(path)]) == 0
-        assert (tmp_path / "out.svg").read_text().count("<polyline") == 3
+        _, rows = read_rows(tmp_path / "out.csv")
+        defined = [sum(row[name] != "" for row in rows) for name in ("P_g", "I_g", "F_g")]
+        assert defined.count(1) == one_point
+        svg = (tmp_path / "out.svg").read_text()
+        assert svg.count("<polyline") == 3
+        assert svg.count("<circle") == one_point
 
     def test_validate_ok(self, tmp_path, capsys):
         assert main(["validate", "--config", str(write_config(tmp_path))]) == 0

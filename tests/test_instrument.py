@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cavityprobe import instrument
 from cavityprobe.fock import InvalidStateError, TruncationMode, fock_state, maximally_mixed
 from cavityprobe.instrument import (
     DivergenceError,
@@ -237,6 +238,29 @@ class TestIntegration:
             assert np.max(np.abs(y_g[k] - apply_superop(branch.m_g[k], rho))) < 1e-12
             assert np.max(np.abs(y_e[k] - apply_superop(branch.m_e[k], rho))) < 1e-12
 
+    def test_propagates_only_the_occupied_blocks(self, monkeypatch):
+        """A state is propagated on the coherence blocks it occupies, the maps on all d."""
+        sizes = []
+
+        def recording(matrix, *args):
+            sizes.append(len(matrix))
+            return rk4_sampled(matrix, *args)
+
+        rk4_sampled = instrument._rk4_sampled
+        monkeypatch.setattr(instrument, "_rk4_sampled", recording)
+        d = 5
+        for rho, blocks in (
+            (fock_state(d, 2), 1),
+            (maximally_mixed(d), 1),
+            (rand_density(np.random.default_rng(3), d), d),
+        ):
+            sizes.clear()
+            conditional_trajectories(STRONG, d, Preparation.GROUND, rho, 0.1, 0.01)
+            assert sizes == [blocks]
+        sizes.clear()
+        integrate_instrument(STRONG, d, Preparation.GROUND, 0.1, 0.01)
+        assert sizes == [d]
+
     def test_final_step_always_sampled(self):
         branch = integrate_instrument(STRONG, 2, Preparation.GROUND, 0.25, 0.01, stride=10)
         assert branch.times[-1] == pytest.approx(0.25)
@@ -294,6 +318,21 @@ class TestIntegration:
                 run(3.0)
             assert err.value.t == 1.0
             assert np.all(np.isfinite(run(0.9)))
+
+    def test_unoccupied_blocks_never_diverge(self):
+        """A block the state leaves at zero is not propagated, so its own instability raises nothing."""
+        # At dt = 1 the coherence block's rotation kappa delta = 4.95 is past RK4's
+        # imaginary-axis limit of about 2.83 (a step multiplies it by about 20, so
+        # P^250 overflows), while block 0, the populations, carries no rotation
+        # and stays stable.
+        p = ModelParams(omega=5.0, delta=5.0, gamma_big=0.5, gamma_ge=0.0, gamma_eg=0.0)
+        with pytest.raises(DivergenceError):
+            integrate_instrument(p, 2, Preparation.GROUND, 500.0, 1.0, stride=250)
+        with pytest.raises(DivergenceError):
+            conditional_trajectories(p, 2, Preparation.GROUND, np.full((2, 2), 0.5), 500.0, 1.0, stride=250)
+        _, y_g, y_e = conditional_trajectories(p, 2, Preparation.GROUND, maximally_mixed(2), 500.0, 1.0, stride=250)
+        assert np.all(np.isfinite(y_g)) and np.all(np.isfinite(y_e))
+        assert np.all(y_g[:, [0, 1], [1, 0]] == 0.0)
 
     def test_preparation_given_by_value_selects_its_branch(self):
         for prep in Preparation:

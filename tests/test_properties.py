@@ -131,3 +131,28 @@ def test_batched_metrics_match_per_sample_reference(p, prep, data):
                 assert got is None
             else:
                 assert abs(got - expected) < 1e-12, (name, rec.t, got, expected)
+
+
+@st.composite
+def order_confined_states(draw, d):
+    """A density matrix on a random set of coherence orders q = i - j closed under q -> -q, and the mask of that set.
+
+    Order 0 is always in the set, since the trace lives there.
+    """
+    orders = [0, *draw(st.sets(st.integers(1, d - 1)) if d > 1 else st.just(set()))]
+    inside = np.isin(np.abs(np.subtract.outer(np.arange(d), np.arange(d))), orders)
+    rho = np.where(inside, draw(density_matrices(d)), 0.0)
+    rho = rho + max(0.0, -np.linalg.eigvalsh(rho).min()) * np.eye(d)
+    return rho / np.trace(rho).real, inside
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(stable_params(), st.sampled_from(Preparation), st.sampled_from(TruncationMode), st.data())
+def test_trajectories_stay_on_the_occupied_orders(p, prep, mode, data):
+    d = data.draw(st.integers(1, 5))
+    rho, inside = data.draw(order_confined_states(d))
+    _, y_g, y_e = conditional_trajectories(p, d, prep, rho, T_MAX, DT, mode, STRIDE)
+    branch = integrate_instrument(p, d, prep, T_MAX, DT, mode, STRIDE)
+    for y, maps in ((y_g, branch.m_g), (y_e, branch.m_e)):
+        assert np.all(y[:, ~inside] == 0.0)
+        assert np.max(np.abs(y - [apply_superop(m, rho) for m in maps])) < 1e-12
