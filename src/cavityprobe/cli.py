@@ -255,7 +255,8 @@ def run(config: RunConfig, emit_oracle_report: bool = False) -> str:
     text = render_csv(records)
     _write_text(config.csv_out, text)
     if config.svg_out:
-        _write_text(config.svg_out, plot(text, list(_PLOT_COLUMNS)))
+        columns = dict(zip(CSV_COLUMNS, zip(*map(_RECORD_ROW, records))))
+        _write_text(config.svg_out, _draw(columns["t"], [(name, columns[name]) for name in _PLOT_COLUMNS]))
     if emit_oracle_report:
         refine = max(1, math.ceil(config.dt / dt_limit(params) - 1e-12))
         residual = secular_residual(
@@ -360,16 +361,20 @@ def plot(csv_text: str, columns: list[str]) -> str:
         return value
 
     times = [number(k, row, "t") for k, row in enumerate(rows, 1)]
-    series = {}
-    for name in columns:
-        values = [number(k, row, name) for k, row in enumerate(rows, 1)]
-        series[name] = [(t, y) for t, y in zip(times, values) if y is not None]
-    y_values = [y for pts in series.values() for _, y in pts]
-    if not y_values:
-        raise ConfigError(f"no defined values to plot in columns: {', '.join(columns)}")
+    return _draw(times, [(name, [number(k, row, name) for k, row in enumerate(rows, 1)]) for name in columns])
 
-    x_lo, x_hi = min(times), max(times)
-    y_lo, y_hi = min(y_values), max(y_values)
+
+def _draw(times, series: list) -> str:
+    """SVG of each (name, values) series against `times`; values are finite floats, or None where undefined."""
+    t = np.array(times, dtype=float)
+    ys = [np.array(values, dtype=float) for _, values in series]  # None becomes nan
+    points = [(name, t[~np.isnan(y)], y[~np.isnan(y)]) for (name, _), y in zip(series, ys)]
+    y_defined = [y for _, _, y in points if y.size]
+    if not y_defined:
+        raise ConfigError(f"no defined values to plot in columns: {', '.join(name for name, _ in series)}")
+
+    x_lo, x_hi = min(times), max(times)  # builtins keep the first of equal extremes, such as 0.0 before -0.0
+    y_lo, y_hi = min(float(y.min()) for y in y_defined), max(float(y.max()) for y in y_defined)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -377,10 +382,11 @@ def plot(csv_text: str, columns: list[str]) -> str:
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    def sx(x: float) -> float:
+    # Both maps act elementwise, on a float or on an array, with the same rounding.
+    def sx(x):
         return _ML + (x - x_lo) / (x_hi - x_lo) * (_SVG_W - _ML - _MR)
 
-    def sy(y: float) -> float:
+    def sy(y):
         return _SVG_H - _MB - (y - y_lo) / (y_hi - y_lo) * (_SVG_H - _MT - _MB)
 
     parts = [
@@ -404,13 +410,13 @@ def plot(csv_text: str, columns: list[str]) -> str:
     parts.append(
         f'<text x="{(_ML + _SVG_W - _MR) / 2:.2f}" y="{_SVG_H - 8}" font-size="12" text-anchor="middle">t</text>'
     )
-    for k, name in enumerate(columns):
+    for k, (name, x, y) in enumerate(points):
         color = _PALETTE[k % len(_PALETTE)]
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in series[name])
+        px, py = sx(x).tolist(), sy(y).tolist()
+        pts = " ".join(map("{:.2f},{:.2f}".format, px, py))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
-        if len(series[name]) == 1:  # a one-point polyline draws nothing, so mark the point
-            [(x, y)] = series[name]
-            parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="{color}"/>')
+        if len(px) == 1:  # a one-point polyline draws nothing, so mark the point
+            parts.append(f'<circle cx="{px[0]:.2f}" cy="{py[0]:.2f}" r="3" fill="{color}"/>')
         ly = _MT + 16 + 18 * k
         lx = _SVG_W - _MR + 12
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')

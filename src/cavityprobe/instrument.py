@@ -162,7 +162,8 @@ def _dense(blocks: np.ndarray) -> np.ndarray:
 
 
 def build_block_generator(
-    p: ModelParams, d: int, mode: TruncationMode = TruncationMode.ALGEBRAIC_CLOSURE
+    p: ModelParams, d: int, mode: TruncationMode = TruncationMode.ALGEBRAIC_CLOSURE,
+    blocks: slice | np.ndarray = slice(None),
 ) -> np.ndarray:
     """The generator [[G_gg, G_ge], [G_eg, G_ee]] on (vec M_g, vec M_e) as its (d, 2d, 2d) stack of coherence blocks.
 
@@ -179,9 +180,11 @@ def build_block_generator(
     branches in opposite senses.  Row or column j < d of block b is slot j
     (see _slots) of the g branch, and d + j is the same slot of the e
     branch; _dense scatters the stack into the 2 d^2 x 2 d^2 matrix.
+    Only the blocks that `blocks` indexes along the first axis are built.
     """
     n, aad = (op.diagonal() for op in quadratic_ops(d, mode))
     i, j = _slots(d)
+    i = i[blocks]
     # a+a and a a+ are diagonal, so G_gg and G_ee only scale each X_ij: by
     # (x_i + x_j)/2 for {x, .}/2 and by n_i - n_j for N.
     rotation = 1j * p.kappa * p.delta * (n[i] - n[j])
@@ -191,7 +194,7 @@ def build_block_generator(
     # weight is 0 where i = 0, so the two orders of a block stay unlinked.
     root = np.sqrt(j)
     ladder = rate * (root[j] * root[i])
-    stack = np.zeros((d, 2 * d, 2 * d), dtype=complex)
+    stack = np.zeros((len(i), 2 * d, 2 * d), dtype=complex)
     stack[:, j, j] = -(rate * (0.5 * (n[i] + n[j])) - rotation + p.gamma_ge)
     stack[:, d + j, d + j] = -(rate * (0.5 * (aad[i] + aad[j])) + rotation + p.gamma_eg)
     stack[:, j, d + j] = p.gamma_eg
@@ -282,7 +285,7 @@ def _propagate_blocks(
     sample.
     """
     n_steps = _sample_steps(t_max, dt, stride)
-    generator = build_block_generator(p, d, mode)[blocks]
+    generator = build_block_generator(p, d, mode, blocks)
     state0 = np.zeros((len(generator), 2 * d, field0.shape[-1]), dtype=complex)
     offset = 0 if Preparation(prep) is Preparation.GROUND else d
     state0[:, offset : offset + d] = field0

@@ -28,15 +28,18 @@ class PositivityError(RuntimeError):
     """An outcome probability came out significantly negative."""
 
 
-def _checked_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian PSD matrix, or a (..., d, d) stack, with tolerance policy.
+def _checked_eig(rho: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """(eigenvalues, eigenvectors or None) of a Hermitian PSD matrix, or a (..., d, d) stack, with tolerance policy.
 
     Negative eigenvalues down to -1e-8 are round-off and are clamped to zero;
-    anything below -1e-8, or not a number, is treated as a bug in the caller,
-    not as data.
+    anything below -1e-8, or a non-finite entry (checked first: eigvalsh can
+    map a nan to a finite spectrum), is treated as a bug in the caller.
     """
     rho = np.asarray(rho)
-    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().swapaxes(-1, -2)))
+    if not np.isfinite(rho).all():
+        raise InvalidStateError("matrix has a non-finite entry")
+    hermitian = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    vals, vecs = np.linalg.eigh(hermitian) if vectors else (np.linalg.eigvalsh(hermitian), None)
     low = vals.min(initial=np.inf)
     if not low >= -1e-8:
         raise InvalidStateError(f"matrix has eigenvalue {low:.3e} below the error threshold")
@@ -51,7 +54,7 @@ def von_neumann_entropy(rho: np.ndarray, base: float = 2.0):
     """
     if not (np.isfinite(base) and base > 0 and base != 1):
         raise ValueError(f"log base must be finite, positive and not 1, got {base!r}")
-    vals, _ = _checked_eigh(rho)
+    vals, _ = _checked_eig(rho)
     vals = np.clip(vals, 0.0, 1.0)
     logs = np.log(vals, out=np.zeros_like(vals), where=vals > 0.0)
     entropy = -np.sum(vals * logs, axis=-1) / np.log(base)
@@ -60,7 +63,7 @@ def von_neumann_entropy(rho: np.ndarray, base: float = 2.0):
 
 def sqrtm_psd(rho: np.ndarray) -> np.ndarray:
     """Hermitian square root of a PSD matrix, or of each matrix of a stack, via eigendecomposition."""
-    vals, vecs = _checked_eigh(rho)
+    vals, vecs = _checked_eig(rho, vectors=True)
     return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
@@ -74,13 +77,13 @@ def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray):
     sigma = np.asarray(sigma)
     if rho.shape[-2:] != sigma.shape[-2:]:
         raise ValueError(f"shape mismatch {rho.shape} vs {sigma.shape}")
-    _checked_eigh(sigma)
+    _checked_eig(sigma)
     return _fidelity(sqrtm_psd(rho), sigma)
 
 
 def _fidelity(root: np.ndarray, sigma: np.ndarray):
-    """Fidelity Tr sqrt(root sigma root) from root = sqrt(rho) and a sigma that _checked_eigh has accepted."""
-    vals, _ = _checked_eigh(root @ sigma @ root)
+    """Fidelity Tr sqrt(root sigma root) from root = sqrt(rho) and a sigma that _checked_eig has accepted."""
+    vals, _ = _checked_eig(root @ sigma @ root)
     # Rank-deficient inputs leave eps-level junk in the spectrum that the
     # square root would amplify to ~1e-8; drop it before rooting.
     vals[vals < vals.max(axis=-1, keepdims=True) * 1e-12] = 0.0
@@ -129,6 +132,8 @@ def metrics_series(
     y = np.ascontiguousarray(np.stack([y_g, y_e], axis=1))
     if y.shape != (len(times), 2, *rho_f.shape):
         raise ValueError(f"y_g and y_e must have shape {(len(times), *rho_f.shape)}, got {np.shape(y_g)}")
+    if not np.isfinite(y).all():  # a nan trace would otherwise pass as an undefined outcome
+        raise InvalidStateError("conditional states have a non-finite entry")
     p = np.trace(y, axis1=-2, axis2=-1)
     if np.any(np.abs(p.imag) >= 1e-10):
         raise PositivityError(f"outcome probability has imaginary part {np.abs(p.imag).max():.3e}")

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cavityprobe import cli
 from cavityprobe.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -246,6 +247,25 @@ class TestPlot:
         text = run(cfg)
         svg = plot(text, ["P_g", "P_e", "I_g", "I_e", "F_g", "F_e"])
         assert svg.count("<polyline") == 6
+
+    @pytest.mark.parametrize("overrides, defined_i_g", [
+        ({"preset": "strong", "d": 4}, 11),
+        ({"preset": "strong", "initial_state": "fock", "n": 1, "prep": "e", "t_max": 0.1}, 1),
+        ({"preset": None, "omega": 0, "delta": 0, "gamma_big": 1, "gamma_ge": 0, "gamma_eg": 0, "prep": "e"}, 0),
+        ({"d": 1}, 11),
+    ], ids=["strong-mixed-d4", "fock-one-point", "never-defined", "d1"])
+    def test_run_svg_is_plot_of_its_csv(self, tmp_path, monkeypatch, overrides, defined_i_g):
+        """run draws from the values it computed, without parsing its CSV, and plot of that CSV gives the same bytes."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("run parsed CSV text")
+
+        cfg = parse_config(write_config(tmp_path, svg_out=str(tmp_path / "out.svg"), **overrides).read_text())
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.csv, "reader", refuse)
+            text = run(cfg)
+        _, rows = read_rows(cfg.csv_out)
+        assert sum(row["I_g"] != "" for row in rows) == defined_i_g
+        assert Path(cfg.svg_out).read_bytes() == plot(text, ["P_g", "I_g", "F_g"]).encode()
 
     def test_missing_column(self):
         with pytest.raises(ConfigError, match="Q"):

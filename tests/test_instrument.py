@@ -119,6 +119,14 @@ class TestBlockGenerator:
             assert np.all(stack[b][np.ix_(upper, lower)] == 0.0)
             assert np.all(stack[b][np.ix_(lower, upper)] == 0.0)
 
+    @pytest.mark.parametrize("mode", list(TruncationMode))
+    @pytest.mark.parametrize("blocks", [slice(None), np.array([0]), np.array([1, 3, 4]), np.arange(5)],
+                             ids=["all", "block-0", "some", "every-index"])
+    def test_builds_only_the_selected_blocks(self, mode, blocks):
+        """Building a selection gives, bit for bit, those blocks of the full stack."""
+        selected = build_block_generator(STRONG, 5, mode, blocks)
+        assert np.array_equal(selected, build_block_generator(STRONG, 5, mode)[blocks])
+
 
 class TestDenseScatter:
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])

@@ -102,6 +102,17 @@ class TestFidelity:
         with pytest.raises(InvalidStateError):
             uhlmann_fidelity(np.diag([1.2, -0.2]), maximally_mixed(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("side", ["rho", "sigma"])
+    def test_rejects_non_finite_input(self, bad, entry, side):
+        """eigvalsh turns [[nan, 0], [0, 1]] into [0, -0], so the entries are checked first."""
+        broken = maximally_mixed(2)
+        broken[entry] = bad
+        args = (broken, maximally_mixed(2)) if side == "rho" else (maximally_mixed(2), broken)
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            uhlmann_fidelity(*args)
+
 
 class TestMatrixRoot:
     def test_square_of_root_recovers_matrix(self):
@@ -148,6 +159,16 @@ class TestMetricsSeries:
         with pytest.raises(InvalidStateError, match="Hermitian"):
             metrics_series(*trajectories, np.array([[0.5, 0.1j], [0.1j, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "coherence"])
+    def test_rejects_non_finite_states(self, bad, entry):
+        """A nan trace must not pass as an undefined outcome, nor a nan entry as a finite spectrum."""
+        rho = maximally_mixed(2)
+        times, y_g, y_e = conditional_trajectories(STRONG, 2, Preparation.GROUND, rho, 0.1, 0.01)
+        y_e[-1][entry] = bad
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            metrics_series(times, y_g, y_e, rho)
+
     def test_probabilities_lie_in_unit_interval(self):
         rho = maximally_mixed(3)
         for rec in metrics_series(*conditional_trajectories(STRONG, 3, Preparation.EXCITED, rho, 8.0, 0.01, stride=40), rho):
@@ -168,19 +189,23 @@ class TestMetricsSeries:
 
     def test_each_conditional_state_is_decomposed_twice(self, monkeypatch):
         """Entropy and fidelity need one eigendecomposition of each state and one of
-        root @ state @ root; the states' PSD check rides on the first."""
+        root @ state @ root; the states' PSD check rides on the first.  Only the
+        square root of rho_f needs eigenvectors."""
         import cavityprobe.metrics as metrics
 
         decomposed = []
-        checked_eigh = metrics._checked_eigh
+        with_vectors = []
+        checked_eig = metrics._checked_eig
 
-        def counting(rho):
-            decomposed.append(int(np.prod(np.shape(rho)[:-2])))
-            return checked_eigh(rho)
+        def counting(rho, vectors=False):
+            size = int(np.prod(np.shape(rho)[:-2]))
+            (with_vectors if vectors else decomposed).append(size)
+            return checked_eig(rho, vectors)
 
-        monkeypatch.setattr(metrics, "_checked_eigh", counting)
+        monkeypatch.setattr(metrics, "_checked_eig", counting)
         rho = maximally_mixed(3)
         records = metrics_series(*conditional_trajectories(STRONG, 3, Preparation.GROUND, rho, 2.0, 0.01, stride=20), rho)
         states = sum(rec.defined_g + rec.defined_e for rec in records)
         # plus one decomposition of rho_f for its entropy and one for its square root
-        assert sum(decomposed) == 2 * states + 2
+        assert sum(decomposed) + sum(with_vectors) == 2 * states + 2
+        assert with_vectors == [1]
