@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -64,6 +63,7 @@ PRESETS = {
 
 CSV_COLUMNS = ["t", "P_g", "P_e", "I_g", "I_e", "F_g", "F_e", "S_g", "S_e", "defined_g", "defined_e"]
 
+_SOLVER_ERRORS = (DivergenceError, PositivityError, InvalidStateError)  # a run failed; exit 3
 _PLOT_COLUMNS = ("P_g", "I_g", "F_g")  # what `run` plots, and `plot`'s default
 _SWEEP_T_MAX = 10.0  # horizon of the figure grid
 _PREPARATIONS = {"g": Preparation.GROUND, "ground": Preparation.GROUND,
@@ -223,9 +223,6 @@ def config_warnings(config: RunConfig) -> list[str]:
     return out
 
 
-_RECORD_ROW = operator.attrgetter(*(f.name for f in fields(MetricsRecord)))
-
-
 def _column_cells(values: tuple) -> list[str]:
     """CSV cells of one column: true/false for a flag column, and repr of each number with None as ""."""
     if isinstance(values[0], bool):
@@ -234,8 +231,8 @@ def _column_cells(values: tuple) -> list[str]:
 
 
 def render_csv(records: list[MetricsRecord]) -> str:
-    """One row per record; MetricsRecord declares its fields in CSV_COLUMNS order."""
-    columns = map(_column_cells, zip(*map(_RECORD_ROW, records)))
+    """One row per record; a MetricsRecord is a tuple in CSV_COLUMNS order."""
+    columns = map(_column_cells, zip(*records))
     return "\n".join([",".join(CSV_COLUMNS), *map(",".join, zip(*columns))]) + "\n"
 
 
@@ -255,7 +252,7 @@ def run(config: RunConfig, emit_oracle_report: bool = False) -> str:
     text = render_csv(records)
     _write_text(config.csv_out, text)
     if config.svg_out:
-        columns = dict(zip(CSV_COLUMNS, zip(*map(_RECORD_ROW, records))))
+        columns = dict(zip(CSV_COLUMNS, zip(*records)))
         _write_text(config.svg_out, _draw(columns["t"], [(name, columns[name]) for name in _PLOT_COLUMNS]))
     if emit_oracle_report:
         refine = max(1, math.ceil(config.dt / dt_limit(params) - 1e-12))
@@ -313,7 +310,7 @@ def sweep(configs: list[RunConfig], manifest_path: str | Path) -> dict:
         try:
             run(config)
             entries.append(entry)
-        except (DivergenceError, PositivityError, InvalidStateError, ConfigError, OSError) as exc:
+        except (*_SOLVER_ERRORS, ConfigError, OSError) as exc:
             failures.append(f"{config.csv_out}: {exc}")
     manifest = {"runs": entries, "failures": failures}
     _write_text(str(manifest_path), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -500,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory; lower d or the sample count t_max/(dt*stride)", file=sys.stderr)
         return 2
-    except (DivergenceError, PositivityError, InvalidStateError, SweepError) as exc:
+    except (*_SOLVER_ERRORS, SweepError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -204,12 +204,13 @@ def build_block_generator(
     return stack
 
 
-def _sample_steps(t_max: float, dt: float, stride: int) -> int:
-    """Number of RK4 steps in the run, after checking the time grid and the stride.
+def _sample_steps(t_max: float, dt: float, stride: int) -> range:
+    """The RK4 steps a run samples before its final one, after checking the time grid and the stride.
 
-    t_max must be a finite whole number (below 2**63) of steps of size dt, and
-    stride a positive integer; the run is sampled every stride steps and at
-    its final step.
+    t_max must be a finite whole number n_steps (below 2**63) of steps of size
+    dt, and stride a positive integer.  The run samples range(0, n_steps,
+    stride) and then step n_steps, the range's stop; len() counts a huge grid
+    without allocating it.
     """
     t_max, dt = float(t_max), float(dt)
     if not (dt > 0 and dt <= t_max < np.inf and t_max / dt < 2**63):
@@ -219,7 +220,7 @@ def _sample_steps(t_max: float, dt: float, stride: int) -> int:
         raise ValueError(f"t_max={t_max} is not a whole number of dt={dt} steps; make t_max a multiple of dt")
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride!r}")
-    return n_steps
+    return range(0, n_steps, stride)
 
 
 def _check_fits(d: int, t_max: float, dt: float, stride: int) -> None:
@@ -227,29 +228,28 @@ def _check_fits(d: int, t_max: float, dt: float, stride: int) -> None:
 
     They are the (d, 2d, 2d) block generator and the (samples, d, 2d) state buffer.
     """
-    n_steps = _sample_steps(t_max, dt, stride)
+    samples = len(_sample_steps(t_max, dt, stride)) + 1
     max_entries = np.iinfo(np.intp).max // 16  # complex entries in numpy's largest array
     if 4 * d**3 > max_entries:
         raise ValueError("d is too large for the block generator to fit one numpy array; lower d")
-    samples = -(-n_steps // stride) + 1
     if 2 * samples * d * d > max_entries:
         raise ValueError(f"{samples} samples at d={d} do not fit one numpy array; "
                          "lower d or the sample count t_max/(dt*stride)")
 
 
-def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, dt: float, n_steps: int, stride: int):
-    """Fixed-step RK4 on d/dt y = matrix @ y, sampled every stride steps and at step n_steps.
+def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, dt: float, grid: range):
+    """Fixed-step RK4 on d/dt y = matrix @ y, sampled at each step of grid and at its final step grid.stop.
 
     One step is P(M) = I + M (I + M (I + M (I + M/4)/3)/2) with M = dt
     matrix, the degree-4 Taylor polynomial that is classical RK4 for a
     constant generator, so c steps are exactly P^c.  P is formed once, its
-    power once for each distinct gap between samples (stride, and the
-    remainder that ends at n_steps), and each sample costs one product.
+    power once for each distinct gap between samples (grid.step, and the
+    remainder that ends at grid.stop), and each sample costs one product.
     matrix may be a (..., n, n) stack with state0 (..., n, k); products
     broadcast over the stack.  Returns (times, samples); the run goes to its
     horizon and then raises DivergenceError at the first non-finite sample.
     """
-    steps = np.append(np.arange(0, n_steps, stride), n_steps)
+    steps = np.array([*grid, grid.stop])
     gaps = np.diff(steps)
     m = dt * matrix
     eye = np.eye(m.shape[-1])
@@ -284,12 +284,12 @@ def _propagate_blocks(
     (T, n, 2d, k): the g and then the e slots of each selected block of each
     sample.
     """
-    n_steps = _sample_steps(t_max, dt, stride)
+    grid = _sample_steps(t_max, dt, stride)
     generator = build_block_generator(p, d, mode, blocks)
     state0 = np.zeros((len(generator), 2 * d, field0.shape[-1]), dtype=complex)
     offset = 0 if Preparation(prep) is Preparation.GROUND else d
     state0[:, offset : offset + d] = field0
-    return _rk4_sampled(generator, state0, dt, n_steps, stride)
+    return _rk4_sampled(generator, state0, dt, grid)
 
 
 def integrate_instrument(

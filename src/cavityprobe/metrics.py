@@ -5,7 +5,7 @@ Entropies are reported in bits by default; pass base=np.e for nats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +95,7 @@ def _fidelity(root: np.ndarray, sigma: np.ndarray):
     return fid if fid.ndim else float(fid)
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
+class MetricsRecord(NamedTuple):
     """Per-time-point metrics; fields for an outcome are None when its
     probability sits below the floor and the conditional state is undefined.
     Fields are declared in CSV column order."""

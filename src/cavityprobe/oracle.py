@@ -110,7 +110,7 @@ def extract_instrument_oracle(
     exceeds dt_limit(p), and DivergenceError when a column's trace drifts by
     more than 1e-9.
     """
-    n_steps = _sample_steps(t_max, dt, stride)
+    grid = _sample_steps(t_max, dt, stride)
     prep = Preparation(prep)
     limit = dt_limit(p)
     if dt > limit * (1 + 1e-12):
@@ -122,7 +122,7 @@ def extract_instrument_oracle(
     columns = np.zeros((4 * d * d, d * d), dtype=complex)
     columns[g_rows if prep is Preparation.GROUND else e_rows, np.arange(d * d)] = 1.0
     frame_hamiltonian = joint_hamiltonian(p, d, 0.0) + p.delta * np.kron(np.diag([0.0, 1.0]), np.eye(d))
-    times, samples = _rk4_sampled(_liouvillian(p, d, frame_hamiltonian), columns, dt, n_steps, stride)
+    times, samples = _rk4_sampled(_liouvillian(p, d, frame_hamiltonian), columns, dt, grid)
     traces = samples[:, positions.diagonal()].sum(axis=1)
     drift = np.abs(traces - traces[0]).max(axis=1)
     bad = np.flatnonzero(drift > 1e-9)

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -174,7 +177,11 @@ class TestParseConfig:
 
 class TestRun:
     def test_record_fields_follow_csv_columns(self):
-        assert [c.lower() for c in CSV_COLUMNS] == [f.name for f in dataclasses.fields(MetricsRecord)]
+        assert [c.lower() for c in CSV_COLUMNS] == list(MetricsRecord._fields)
+        rec = MetricsRecord(0.5, 0.75, 0.25, 0.1, None, 0.9, None, 0.2, None, True, False)
+        assert tuple(rec) == tuple(getattr(rec, c.lower()) for c in CSV_COLUMNS)
+        with pytest.raises(AttributeError):
+            rec.p_g = 0.0
 
     def test_csv_schema_and_first_row(self, tmp_path):
         cfg = parse_config(write_config(tmp_path).read_text())
@@ -449,3 +456,18 @@ class TestMainExitCodes:
                    "--columns", "P_g,P_e"])
         assert rc == 0
         assert (tmp_path / "fig.svg").read_text().count("<polyline") == 2
+
+
+def test_tier1_paths_do_not_import_scipy(tmp_path):
+    """numpy is the only runtime dependency: a sweep and a secular residual run without importing scipy."""
+    script = (
+        "import sys\n"
+        "from cavityprobe import ModelParams, Preparation, cli, secular_residual\n"
+        "assert cli.main(['sweep', '--out-dir', sys.argv[1], '--t-max', '0.1']) == 0\n"
+        "secular_residual(ModelParams(**cli.PRESETS['strong']), 2, Preparation.GROUND, 0.1, 0.005)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
