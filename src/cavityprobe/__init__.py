@@ -8,46 +8,11 @@ solver, and reports outcome probability, information gain and fidelity as
 functions of the interaction time.
 """
 
-from .fock import (
-    InvalidStateError,
-    TruncationMode,
-    annihilation_op,
-    check_density_matrix,
-    fock_state,
-    maximally_mixed,
-    quadratic_ops,
-)
-from .instrument import (
-    DivergenceError,
-    InstrumentBranch,
-    ModelParams,
-    Preparation,
-    build_block_generator,
-    conditional_trajectories,
-    integrate_instrument,
-)
-from .metrics import (
-    MetricsRecord,
-    PositivityError,
-    metrics_series,
-    sqrtm_psd,
-    uhlmann_fidelity,
-    von_neumann_entropy,
-)
-from .oracle import (
-    extract_instrument_oracle,
-    joint_hamiltonian,
-    joint_liouvillian,
-    pure_dephasing_rate,
-    secular_residual,
-)
-from .superop import (
-    apply_superop,
-    choi_matrix,
-    sandwich_superop,
-    superop_dim,
-    unvec,
-    vec,
-)
+# Each module's __all__ is the one list of its public names.
+from .fock import *
+from .instrument import *
+from .metrics import *
+from .oracle import *
+from .superop import *
 
 __version__ = "0.1.0"

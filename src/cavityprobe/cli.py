@@ -241,12 +241,11 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def run(config: RunConfig, emit_oracle_report: bool = False) -> str:
+def run(config: RunConfig) -> str:
     """Execute one configured run; writes the CSV (and SVG) and returns the CSV text."""
-    params = config.model_params()
     rho_f = config.initial_density()
     trajectories = conditional_trajectories(
-        params, config.d, config.prep, rho_f, config.t_max, config.dt, config.truncation, config.stride
+        config.model_params(), config.d, config.prep, rho_f, config.t_max, config.dt, config.truncation, config.stride
     )
     records = metrics_series(*trajectories, rho_f, base=config.log_base)
     text = render_csv(records)
@@ -254,15 +253,6 @@ def run(config: RunConfig, emit_oracle_report: bool = False) -> str:
     if config.svg_out:
         columns = dict(zip(CSV_COLUMNS, zip(*records)))
         _write_text(config.svg_out, _draw(columns["t"], [(name, columns[name]) for name in _PLOT_COLUMNS]))
-    if emit_oracle_report:
-        refine = max(1, math.ceil(config.dt / dt_limit(params) - 1e-12))
-        residual = secular_residual(
-            params, config.d, config.prep, config.t_max, config.dt / refine,
-            stride=config.stride * refine, mode=config.truncation,
-        )
-        print(f"secular residual vs joint model (dt={config.dt / refine:g}):")
-        print(f"  outcome g: {residual['g']:.6e}")
-        print(f"  outcome e: {residual['e']:.6e}")
     return text
 
 
@@ -430,7 +420,18 @@ def _load_config(path: str) -> RunConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    run(_load_config(args.config), emit_oracle_report=args.oracle)
+    config = _load_config(args.config)
+    run(config)
+    if args.oracle:
+        params = config.model_params()
+        refine = max(1, math.ceil(config.dt / dt_limit(params) - 1e-12))
+        residual = secular_residual(
+            params, config.d, config.prep, config.t_max, config.dt / refine,
+            stride=config.stride * refine, mode=config.truncation,
+        )
+        print(f"secular residual vs joint model (dt={config.dt / refine:g}):")
+        print(f"  outcome g: {residual['g']:.6e}")
+        print(f"  outcome e: {residual['e']:.6e}")
     return 0
 
 

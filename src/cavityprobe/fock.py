@@ -34,10 +34,14 @@ class TruncationMode(Enum):
     STRICT = "strict"
 
 
-def annihilation_op(d: int) -> np.ndarray:
-    """Annihilation operator on the levels |0>..|d-1>, a|n> = sqrt(n)|n-1>."""
+def _check_dimension(d: int) -> None:
     if d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d}")
+
+
+def annihilation_op(d: int) -> np.ndarray:
+    """Annihilation operator on the levels |0>..|d-1>, a|n> = sqrt(n)|n-1>."""
+    _check_dimension(d)
     return np.diag(np.sqrt(np.arange(1, d)), k=1).astype(complex)
 
 
@@ -49,8 +53,7 @@ def quadratic_ops(
     Both are diagonal with integer entries, so they are built exactly rather
     than through the numerical products (sqrt(n)^2 is not always n in floats).
     """
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
+    _check_dimension(d)
     levels = np.arange(d, dtype=float)
     n_op = np.diag(levels).astype(complex)
     if TruncationMode(mode) is TruncationMode.STRICT:
@@ -62,8 +65,7 @@ def quadratic_ops(
 
 def fock_state(d: int, n: int) -> np.ndarray:
     """Density matrix |n><n| on a d-level ladder."""
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
+    _check_dimension(d)
     if not 0 <= n < d:
         raise ValueError(f"Fock index n={n} out of range for dimension d={d}")
     rho = np.zeros((d, d), dtype=complex)
@@ -73,8 +75,7 @@ def fock_state(d: int, n: int) -> np.ndarray:
 
 def maximally_mixed(d: int) -> np.ndarray:
     """Completely mixed state, identity over d."""
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
+    _check_dimension(d)
     return np.eye(d, dtype=complex) / d
 
 

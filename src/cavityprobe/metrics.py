@@ -12,7 +12,6 @@ import numpy as np
 from .fock import InvalidStateError, check_density_matrix
 
 __all__ = [
-    "P_FLOOR",
     "PositivityError",
     "MetricsRecord",
     "von_neumann_entropy",
@@ -21,7 +20,7 @@ __all__ = [
     "metrics_series",
 ]
 
-P_FLOOR = 1e-12
+_P_FLOOR = 1e-12
 
 
 class PositivityError(RuntimeError):
@@ -141,7 +140,7 @@ def metrics_series(
         raise PositivityError(f"outcome probability {p.min():.3e} is significantly negative")
     p = np.where(p < 0.0, 0.0, p)
     # Outcomes at or below the floor stay undefined rather than amplifying noise by normalizing.
-    defined = p > P_FLOOR
+    defined = p > _P_FLOOR
     y = y[defined]
     states = 0.5 * (y + y.conj().swapaxes(-1, -2)) / p[defined][:, None, None]
     entropy = von_neumann_entropy(states, base)  # also the PSD check of states that _fidelity relies on

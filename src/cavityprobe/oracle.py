@@ -38,7 +38,6 @@ from .instrument import (
 from .superop import sandwich_superop, unvec, vec
 
 __all__ = [
-    "pure_dephasing_rate",
     "dt_limit",
     "joint_hamiltonian",
     "joint_liouvillian",
@@ -52,7 +51,7 @@ _SIGMA_MINUS = _SIGMA_PLUS.conj().T
 _SIGMA_Z = np.diag([-1.0, 1.0]).astype(complex)
 
 
-def pure_dephasing_rate(p: ModelParams) -> float:
+def _pure_dephasing_rate(p: ModelParams) -> float:
     """Dephasing needed beyond population relaxation to reach gamma_big."""
     return p.gamma_big - 0.5 * (p.gamma_ge + p.gamma_eg)
 
@@ -69,7 +68,7 @@ def _jump_ops(p: ModelParams, d: int) -> list[tuple[np.ndarray, float]]:
     jumps = [
         (np.kron(_SIGMA_MINUS, eye_f), p.gamma_eg),
         (np.kron(_SIGMA_PLUS, eye_f), p.gamma_ge),
-        (np.kron(_SIGMA_Z, eye_f), 0.5 * pure_dephasing_rate(p)),
+        (np.kron(_SIGMA_Z, eye_f), 0.5 * _pure_dephasing_rate(p)),
     ]
     return [(op, rate) for op, rate in jumps if rate > 0.0]
 

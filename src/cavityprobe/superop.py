@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "vec",
     "unvec",
-    "superop_dim",
     "sandwich_superop",
     "apply_superop",
     "choi_matrix",
@@ -37,7 +36,7 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
 
 
-def superop_dim(s: np.ndarray) -> int:
+def _superop_dim(s: np.ndarray) -> int:
     """Operator dimension d of a d^2 x d^2 superoperator matrix."""
     s = np.asarray(s)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -59,7 +58,7 @@ def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def apply_superop(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply a superoperator to an operator."""
-    d = superop_dim(s)
+    d = _superop_dim(s)
     x = np.asarray(x)
     if x.shape != (d, d):
         raise ValueError(f"operand shape {x.shape} does not match superoperator dimension {d}")
@@ -71,5 +70,5 @@ def choi_matrix(s: np.ndarray) -> np.ndarray:
 
     The map is completely positive iff the result is positive semidefinite.
     """
-    d = superop_dim(s)
+    d = _superop_dim(s)
     return np.asarray(s).reshape(d, d, d, d).swapaxes(0, 3).reshape(d * d, d * d)

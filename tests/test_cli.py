@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from cavityprobe.cli import (
     ConfigError,
     PRESETS,
     RunConfig,
+    SweepError,
     config_warnings,
     figure_grid_configs,
     main,
@@ -227,6 +229,23 @@ class TestRun:
         assert svg_a.read_bytes() == svg_b.read_bytes()
         assert b"\r" not in out_a.read_bytes()
 
+    def test_natural_log_base_scales_entropies_only(self, tmp_path):
+        """log_base "e" gives S_* and I_* in nats, ln 2 times the bits values; every other cell is unchanged."""
+        rows = {}
+        for base in (2, "e"):
+            cfg = parse_config(json.dumps(make_config(tmp_path, preset="strong", d=4, t_max=5.0, log_base=base,
+                                                      csv_out=str(tmp_path / f"{base}.csv"))))
+            assert cfg.log_base == (math.e if base == "e" else 2.0)
+            run(cfg)
+            rows[base] = read_rows(cfg.csv_out)[1]
+        assert len(rows[2]) == len(rows["e"]) == 51
+        for bits, nats in zip(rows[2], rows["e"]):
+            for column in CSV_COLUMNS:
+                if column[0] in "SI" and bits[column]:
+                    assert float(nats[column]) == pytest.approx(float(bits[column]) * math.log(2), rel=1e-12)
+                else:
+                    assert nats[column] == bits[column]
+
     def test_floats_round_trip(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, t_max=0.5).read_text())
         run(cfg)
@@ -274,6 +293,13 @@ class TestPlot:
         assert sum(row["I_g"] != "" for row in rows) == defined_i_g
         assert Path(cfg.svg_out).read_bytes() == plot(text, ["P_g", "I_g", "F_g"]).encode()
 
+    def test_equal_times_still_draw(self):
+        """With no spread in t the x axis spans [t, t + 1], so every point sits on its left end."""
+        svg = plot("t,P_g\n2.0,1.0\n2.0,0.9\n", ["P_g"])
+        assert svg.count("<polyline") == 1
+        assert f'points="{cli._ML:.2f},' in svg and f' {cli._ML:.2f},' in svg
+        assert ">3</text>" in svg
+
     def test_missing_column(self):
         with pytest.raises(ConfigError, match="Q"):
             plot(self.CSV, ["Q"])
@@ -289,7 +315,11 @@ class TestPlot:
         ("t,P_g\n0.0,1.0\n1.0,nan\n", "P_g", "'P_g', data row 2: need a finite number, found 'nan'"),
         ("t,P_g\n0.0,1.0\n,0.9\n", "P_g", "'t', data row 2: need a finite number, found ''"),
         ("t,P_g,I_g\n0.0,1.0,\n1.0,0.9,\n", "I_g", "no defined values to plot in columns: I_g"),
-    ], ids=["text-cell", "short-row", "nan-cell", "empty-t", "no-defined-values"])
+        ("", "P_g", "CSV document is empty"),
+        ("P_g\n1.0\n0.9\n", "P_g", "CSV has no 't' column"),
+        ("t,P_g\n0.0,1.0\n1.0,0.9\n", ",", "no columns selected"),
+    ], ids=["text-cell", "short-row", "nan-cell", "empty-t", "no-defined-values", "empty-csv", "no-t-column",
+            "no-columns"])
     def test_bad_cells_exit_2(self, tmp_path, capsys, text, column, message):
         csv_path = tmp_path / "in.csv"
         csv_path.write_text(text)
@@ -347,6 +377,17 @@ class TestSweep:
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in tmp_path.iterdir() if path.suffix in (".csv", ".svg")}
         assert digests == self.STRONG_SWEEP_DIGESTS
+
+    def test_failing_run_is_reported_after_the_others(self, tmp_path):
+        good = parse_config(json.dumps(make_config(tmp_path, csv_out=str(tmp_path / "good.csv"))))
+        bad_csv = str(tmp_path / "missing" / "bad.csv")
+        bad = parse_config(json.dumps(make_config(tmp_path, csv_out=bad_csv)))
+        with pytest.raises(SweepError, match="sweep had failing runs"):
+            sweep([bad, good], tmp_path / "manifest.json")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [entry["csv"] for entry in manifest["runs"]] == [good.csv_out]
+        assert len(manifest["failures"]) == 1 and manifest["failures"][0].startswith(f"{bad_csv}: ")
+        assert read_rows(good.csv_out)[0] == CSV_COLUMNS
 
     def test_empty_sweep_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -36,10 +36,11 @@ def test_annihilation_lowers_fock_levels():
         assert np.allclose(image, expected, atol=0, rtol=0)
 
 
-def test_invalid_dimension_rejected():
-    for func in (annihilation_op, maximally_mixed):
-        with pytest.raises(ValueError):
-            func(0)
+@pytest.mark.parametrize("make", [annihilation_op, quadratic_ops, lambda d: fock_state(d, 0), maximally_mixed],
+                         ids=["annihilation_op", "quadratic_ops", "fock_state", "maximally_mixed"])
+def test_invalid_dimension_rejected(make):
+    with pytest.raises(ValueError, match=r"^dimension must be a positive integer, got 0$"):
+        make(0)
 
 
 def test_quadratic_ops_strict_vs_closure():

@@ -52,6 +52,9 @@ class TestModelParams:
             ModelParams(omega=0.1, delta=0.0, gamma_big=0.4, gamma_ge=0.5, gamma_eg=0.5)
         with pytest.raises(ValueError):
             ModelParams(omega=0.1, delta=0.0, gamma_big=0.0, gamma_ge=0.0, gamma_eg=0.0)
+        for delta in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="delta must be finite"):
+                ModelParams(omega=0.1, delta=delta, gamma_big=1.0, gamma_ge=0.0, gamma_eg=0.0)
         # kappa = omega**2 / (gamma_big**2 + delta**2): the denominator underflows
         # to 0, the quotient overflows, or the square overflows
         for gamma_big in (1e-200, 1e-160, 1e200):
@@ -362,6 +365,8 @@ class TestIntegration:
     def test_trajectories_reject_non_density_input(self):
         with pytest.raises(InvalidStateError):
             conditional_trajectories(STRONG, 2, Preparation.GROUND, np.array([[1.0, 1.0], [0.0, 0.0]]), 0.1, 0.01)
+        with pytest.raises(ValueError, match=r"initial state shape \(3, 3\) does not match d=2"):
+            conditional_trajectories(STRONG, 2, Preparation.GROUND, maximally_mixed(3), 0.1, 0.01)
 
     def test_trajectories_reject_nan_input(self):
         with pytest.raises(InvalidStateError, match="non-finite"):

@@ -4,6 +4,7 @@ import pytest
 from cavityprobe.fock import InvalidStateError, fock_state, maximally_mixed
 from cavityprobe.instrument import ModelParams, Preparation, conditional_trajectories
 from cavityprobe.metrics import (
+    PositivityError,
     metrics_series,
     sqrtm_psd,
     uhlmann_fidelity,
@@ -158,6 +159,15 @@ class TestMetricsSeries:
         trajectories = conditional_trajectories(STRONG, 2, Preparation.GROUND, maximally_mixed(2), 0.1, 0.01)
         with pytest.raises(InvalidStateError, match="Hermitian"):
             metrics_series(*trajectories, np.array([[0.5, 0.1j], [0.1j, 0.5]]))
+
+    def test_rejects_mismatched_shapes_and_imaginary_trace(self):
+        rho = maximally_mixed(2)
+        times, y_g, y_e = conditional_trajectories(STRONG, 2, Preparation.GROUND, rho, 0.1, 0.01)
+        with pytest.raises(ValueError, match="y_g and y_e must have shape"):
+            metrics_series(times[:-1], y_g, y_e, rho)
+        y_e[-1] += 1e-6j * np.eye(2)
+        with pytest.raises(PositivityError, match="imaginary part"):
+            metrics_series(times, y_g, y_e, rho)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "coherence"])

@@ -8,7 +8,7 @@ from cavityprobe.oracle import (
     extract_instrument_oracle,
     joint_hamiltonian,
     joint_liouvillian,
-    pure_dephasing_rate,
+    _pure_dephasing_rate,
     secular_residual,
 )
 from cavityprobe.superop import apply_superop, unvec, vec
@@ -28,9 +28,9 @@ def rand_density(rng, d):
 
 
 def test_dephasing_tops_up_to_gamma_big():
-    assert pure_dephasing_rate(STRONG) == pytest.approx(2.0 - 0.55)
+    assert _pure_dephasing_rate(STRONG) == pytest.approx(2.0 - 0.55)
     border = ModelParams(omega=0.1, delta=0.5, gamma_big=0.55, gamma_ge=0.1, gamma_eg=1.0)
-    assert pure_dephasing_rate(border) == pytest.approx(0.0, abs=1e-15)
+    assert _pure_dephasing_rate(border) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_hamiltonian_couples_excitation_exchange():
@@ -98,7 +98,7 @@ def assert_maps_match_lab_frame(p, d, prep, rho_f, t_max, dt, stride):
 
 
 @pytest.mark.parametrize("delta", [0.5, -3.0, 4.36])
-def test_evolve_joint_matches_lab_frame_rk4(delta):
+def test_excited_branch_maps_match_lab_frame_rk4(delta):
     """The excited branch's joint evolution, read through the extracted maps,
     against RK4 on the time-dependent lab-frame generator."""
     p = ModelParams(omega=0.7, delta=delta, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)

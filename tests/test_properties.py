@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from cavityprobe.fock import TruncationMode
 from cavityprobe.instrument import ModelParams, Preparation, conditional_trajectories, integrate_instrument
-from cavityprobe.metrics import P_FLOOR, metrics_series, uhlmann_fidelity, von_neumann_entropy
+from cavityprobe.metrics import _P_FLOOR, metrics_series, uhlmann_fidelity, von_neumann_entropy
 from cavityprobe.superop import apply_superop, choi_matrix, vec
 
 T_MAX, DT, STRIDE = 5.0, 0.01, 25
@@ -102,7 +102,7 @@ def reference_metrics(branch, rho, base=2.0):
         for label, m in (("g", m_g), ("e", m_e)):
             y = apply_superop(m, rho)
             p = max(np.trace(y).real, 0.0)
-            defined = bool(p > P_FLOOR)
+            defined = bool(p > _P_FLOOR)
             state = 0.5 * (y + y.conj().T) / p if defined else None
             s = von_neumann_entropy(state, base) if defined else None
             row.update({

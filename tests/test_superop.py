@@ -6,7 +6,7 @@ from cavityprobe.superop import (
     apply_superop,
     choi_matrix,
     sandwich_superop,
-    superop_dim,
+    _superop_dim,
     unvec,
     vec,
 )
@@ -27,6 +27,15 @@ def test_unvec_rejects_non_square_lengths():
         unvec(np.zeros(5))
     with pytest.raises(ValueError):
         unvec(np.zeros((3, 5)))
+
+
+@pytest.mark.parametrize("func", [lambda s: apply_superop(s, np.eye(2)), choi_matrix],
+                         ids=["apply_superop", "choi_matrix"])
+@pytest.mark.parametrize("s, message", [(np.zeros((4, 5)), "must be a square matrix"),
+                                        (np.eye(5), "not a perfect square")], ids=["non-square", "size-5"])
+def test_superop_shape_rejected(func, s, message):
+    with pytest.raises(ValueError, match=message):
+        func(s)
 
 
 def test_unvec_of_a_stack_is_the_stack_of_unvecs():
@@ -187,4 +196,4 @@ def test_choi_of_kraus_sums_and_compositions_psd(d):
     for s in (maps[0], maps[1], maps[1] @ maps[0]):
         low = np.linalg.eigvalsh(choi_matrix(s)).min()
         assert low > -1e-10
-        assert superop_dim(s) == d
+        assert _superop_dim(s) == d
