@@ -13,20 +13,15 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .fock import InvalidStateError, TruncationMode, fock_state, maximally_mixed
-from .instrument import (
-    DivergenceError,
-    ModelParams,
-    Preparation,
-    _check_fits,
-    conditional_trajectories,
-)
+from .fock import InvalidStateError, TruncationMode, _check_level, fock_state, maximally_mixed
+from .instrument import DivergenceError, ModelParams, Preparation, _sample_steps, conditional_trajectories
 from .instrument import integrate_instrument  # noqa: F401  perfbench's figure-grid trace rebinds this name
 from .metrics import MetricsRecord, PositivityError, metrics_series
 from .oracle import dt_limit, secular_residual
@@ -68,6 +63,7 @@ _PLOT_COLUMNS = ("P_g", "I_g", "F_g")  # what `run` plots, and `plot`'s default
 _SWEEP_T_MAX = 10.0  # horizon of the figure grid
 _PREPARATIONS = {"g": Preparation.GROUND, "ground": Preparation.GROUND,
                  "e": Preparation.EXCITED, "excited": Preparation.EXCITED}
+_TRUNCATIONS = [mode.value for mode in TruncationMode]
 
 
 @dataclass(frozen=True)
@@ -111,19 +107,6 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _number(key: str, value) -> float:
-    """The value of config key `key` as a float; ConfigError unless it is a number that fits one."""
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{key} is an integer too large for a float") from None
-
-
 def parse_config(document: str) -> RunConfig:
     """Parse and validate a flat JSON config document."""
     try:
@@ -134,7 +117,12 @@ def parse_config(document: str) -> RunConfig:
 
 
 def _config_from(raw: dict) -> RunConfig:
-    """Validate a decoded config document; the one place a RunConfig is built."""
+    """Validate a decoded config document; the one place a RunConfig is built.
+
+    The document's own rules (keys, presets, strings, aliases, paths) are
+    checked here.  The rates, d, n and the time grid follow the library's
+    rules, whose ValueError becomes a ConfigError.
+    """
     _require(isinstance(raw, dict), "config must be a single flat JSON object")
     unknown = sorted(set(raw) - _ALL_KEYS)
     _require(not unknown, f"unknown config keys: {', '.join(unknown)}")
@@ -145,46 +133,26 @@ def _config_from(raw: dict) -> RunConfig:
                  f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
         clash = sorted(set(raw) & set(_RATE_KEYS))
         _require(not clash, f"preset {preset!r} conflicts with explicit keys: {', '.join(clash)}")
-        rates = dict(PRESETS[preset])
+        rates = PRESETS[preset]
     else:
         missing = sorted(set(_RATE_KEYS) - set(raw))
         _require(not missing, f"missing rate keys (or use a preset): {', '.join(missing)}")
-        rates = {k: _number(k, raw[k]) for k in _RATE_KEYS}
+        rates = {k: raw[k] for k in _RATE_KEYS}
 
     for key in ("d", "initial_state", "prep", "t_max", "csv_out"):
         _require(key in raw, f"missing required key {key!r}")
 
-    d = raw["d"]
-    _require(_is_int(d) and d >= 1, f"d must be a positive integer, got {d!r}")
-
     initial_state = raw["initial_state"]
     _require(initial_state in ("mixed", "fock"), f"initial_state must be 'mixed' or 'fock', got {initial_state!r}")
     n = raw.get("n")
-    if initial_state == "fock":
-        _require(_is_int(n), "fock initial_state requires an integer key 'n'")
-        _require(0 <= n < d, f"fock index n={n} must satisfy 0 <= n < d={d}")
-    else:
-        _require(n is None, "key 'n' is only meaningful with initial_state 'fock'")
+    _require(initial_state == "fock" or n is None, "key 'n' is only meaningful with initial_state 'fock'")
 
     prep_raw = raw["prep"]
     _require(isinstance(prep_raw, str) and prep_raw in _PREPARATIONS,
              f"prep must be one of {sorted(_PREPARATIONS)}, got {prep_raw!r}")
 
-    t_max = _number("t_max", raw["t_max"])
-    dt = _number("dt", raw.get("dt", RunConfig.dt))
-    stride = raw.get("stride", RunConfig.stride)
-    try:
-        _check_fits(d, t_max, dt, stride)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    truncation_raw = raw.get("truncation", RunConfig.truncation.value)
-    try:
-        truncation = TruncationMode(truncation_raw)
-    except ValueError:
-        raise ConfigError(
-            f"truncation must be one of {[m.value for m in TruncationMode]}, got {truncation_raw!r}"
-        ) from None
+    truncation = raw.get("truncation", RunConfig.truncation.value)
+    _require(truncation in _TRUNCATIONS, f"truncation must be one of {_TRUNCATIONS}, got {truncation!r}")
 
     log_base_raw = raw.get("log_base", RunConfig.log_base)
     if log_base_raw in (2, 2.0):
@@ -199,18 +167,24 @@ def _config_from(raw: dict) -> RunConfig:
     svg_out = raw.get("svg_out")
     _require(svg_out is None or (isinstance(svg_out, str) and svg_out),
              "svg_out must be a nonempty path string when given")
+    _require(svg_out is None or os.path.abspath(svg_out) != os.path.abspath(csv_out),
+             f"svg_out and csv_out name the same file {csv_out!r}")
 
-    config = RunConfig(
-        **rates, d=d, initial_state=initial_state, n=n,
-        prep=_PREPARATIONS[prep_raw], t_max=t_max, dt=dt, stride=stride,
-        truncation=truncation, log_base=log_base, csv_out=csv_out, svg_out=svg_out,
+    d, t_max, dt, stride = raw["d"], raw["t_max"], raw.get("dt", RunConfig.dt), raw.get("stride", RunConfig.stride)
+    try:
+        _sample_steps(d, t_max, dt, stride)
+        if initial_state == "fock":
+            _check_level(d, n)
+        params = ModelParams(**rates)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+    return RunConfig(
+        **vars(params), d=d, initial_state=initial_state, n=n,
+        prep=_PREPARATIONS[prep_raw], t_max=float(t_max), dt=float(dt), stride=stride,
+        truncation=TruncationMode(truncation), log_base=log_base, csv_out=csv_out, svg_out=svg_out,
         preset=preset,
     )
-    try:
-        config.model_params()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config
 
 
 def config_warnings(config: RunConfig) -> list[str]:

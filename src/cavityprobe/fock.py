@@ -35,8 +35,16 @@ class TruncationMode(Enum):
 
 
 def _check_dimension(d: int) -> None:
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
+    """The one rule for a truncation d: a positive Python or numpy integer, never a bool."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"dimension must be a positive integer, got {d!r}")
+
+
+def _check_level(d: int, n: int) -> None:
+    """The one rule for a Fock level n of a d-level ladder: an integer, never a bool, with 0 <= n < d."""
+    _check_dimension(d)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n < d:
+        raise ValueError(f"Fock level n must be an integer with 0 <= n < d={d}, got {n!r}")
 
 
 def annihilation_op(d: int) -> np.ndarray:
@@ -65,9 +73,7 @@ def quadratic_ops(
 
 def fock_state(d: int, n: int) -> np.ndarray:
     """Density matrix |n><n| on a d-level ladder."""
-    _check_dimension(d)
-    if not 0 <= n < d:
-        raise ValueError(f"Fock index n={n} out of range for dimension d={d}")
+    _check_level(d, n)
     rho = np.zeros((d, d), dtype=complex)
     rho[n, n] = 1.0
     return rho

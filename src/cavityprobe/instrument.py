@@ -32,12 +32,12 @@ block 0 alone.  The maps start from the identity, which occupies all d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .fock import TruncationMode, check_density_matrix, quadratic_ops
+from .fock import TruncationMode, _check_dimension, check_density_matrix, quadratic_ops
 from .superop import unvec
 
 __all__ = [
@@ -59,6 +59,16 @@ class DivergenceError(RuntimeError):
         super().__init__(f"integration diverged at t={t:.6g}: {detail}")
 
 
+def _number(key: str, value) -> float:
+    """The one rule for a real input named key: value as a float; ValueError unless it is a number, never a bool, that fits one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} is an integer too large for a float") from None
+
+
 class Preparation(Enum):
     GROUND = "ground"
     EXCITED = "excited"
@@ -70,8 +80,9 @@ class ModelParams:
 
     omega is the coupling strength, delta the detuning, gamma_big the atomic
     decoherence rate and gamma_ge / gamma_eg the upward / downward population
-    relaxation rates.  gamma_big may not fall below (gamma_ge + gamma_eg) / 2,
-    the decoherence floor set by population relaxation alone.
+    relaxation rates, each stored as a float.  gamma_big may not fall below
+    (gamma_ge + gamma_eg) / 2, the decoherence floor set by population
+    relaxation alone.
     """
 
     omega: float
@@ -81,6 +92,8 @@ class ModelParams:
     gamma_eg: float
 
     def __post_init__(self):
+        for field in fields(self):
+            object.__setattr__(self, field.name, _number(field.name, getattr(self, field.name)))
         for name in ("omega", "gamma_big", "gamma_ge", "gamma_eg"):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
@@ -204,15 +217,22 @@ def build_block_generator(
     return stack
 
 
-def _sample_steps(t_max: float, dt: float, stride: int) -> range:
-    """The RK4 steps a run samples before its final one, after checking the time grid and the stride.
+_MAX_ENTRIES = np.iinfo(np.intp).max // 16  # complex entries in numpy's largest array
 
-    t_max must be a finite whole number n_steps (below 2**63) of steps of size
-    dt, and stride a positive integer.  The run samples range(0, n_steps,
-    stride) and then step n_steps, the range's stop; len() counts a huge grid
-    without allocating it.
+
+def _sample_steps(d: int, t_max: float, dt: float, stride: int) -> range:
+    """The one gate on a run's inputs: the RK4 steps it samples before its final one.
+
+    d must pass fock's dimension rule, and t_max and dt the number rule.
+    t_max must be a finite whole number n_steps (below 2**63) of steps of
+    size dt, and stride a positive integer.  The run samples range(0,
+    n_steps, stride) and then step n_steps, the range's stop.  The
+    one-state arrays, the (d, 2d, 2d) block generator and the
+    (samples, d, 2d) state buffer, must each fit one numpy array.  All of
+    this is arithmetic: no array is allocated, and len() counts a huge grid.
     """
-    t_max, dt = float(t_max), float(dt)
+    _check_dimension(d)
+    t_max, dt = _number("t_max", t_max), _number("dt", dt)
     if not (dt > 0 and dt <= t_max < np.inf and t_max / dt < 2**63):
         raise ValueError(f"need finite 0 < dt <= t_max with t_max / dt < 2**63 steps, got dt={dt}, t_max={t_max}")
     n_steps = int(round(t_max / dt))
@@ -220,21 +240,14 @@ def _sample_steps(t_max: float, dt: float, stride: int) -> range:
         raise ValueError(f"t_max={t_max} is not a whole number of dt={dt} steps; make t_max a multiple of dt")
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride!r}")
-    return range(0, n_steps, stride)
-
-
-def _check_fits(d: int, t_max: float, dt: float, stride: int) -> None:
-    """Check the time grid and that a one-state run fits numpy's size limit, counting its arrays without allocating them.
-
-    They are the (d, 2d, 2d) block generator and the (samples, d, 2d) state buffer.
-    """
-    samples = len(_sample_steps(t_max, dt, stride)) + 1
-    max_entries = np.iinfo(np.intp).max // 16  # complex entries in numpy's largest array
-    if 4 * d**3 > max_entries:
+    grid = range(0, n_steps, stride)
+    d = int(d)  # numpy integers would wrap in the counts below
+    if 4 * d**3 > _MAX_ENTRIES:
         raise ValueError("d is too large for the block generator to fit one numpy array; lower d")
-    if 2 * samples * d * d > max_entries:
-        raise ValueError(f"{samples} samples at d={d} do not fit one numpy array; "
+    if 2 * (len(grid) + 1) * d * d > _MAX_ENTRIES:
+        raise ValueError(f"{len(grid) + 1} samples at d={d} do not fit one numpy array; "
                          "lower d or the sample count t_max/(dt*stride)")
+    return grid
 
 
 def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, dt: float, grid: range):
@@ -249,6 +262,7 @@ def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, dt: float, grid: range)
     broadcast over the stack.  Returns (times, samples); the run goes to its
     horizon and then raises DivergenceError at the first non-finite sample.
     """
+    dt = float(dt)  # numpy cannot convert an integer dt beyond int64
     steps = np.array([*grid, grid.stop])
     gaps = np.diff(steps)
     m = dt * matrix
@@ -271,23 +285,21 @@ def _propagate_blocks(
     d: int,
     prep: Preparation,
     field0: np.ndarray,
-    t_max: float,
     dt: float,
+    grid: range,
     mode: TruncationMode,
-    stride: int,
     blocks: slice | np.ndarray = slice(None),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 of the n blocks of the stack that blocks selects (all d by default) from field0.
+    """RK4 on grid (from _sample_steps) of the n blocks of the stack that blocks selects (all d by default) from field0.
 
     field0 holds the prepared branch's slots, (n, d, k), or (d, k) for each
     selected block.  Returns (times, samples) with samples of shape
     (T, n, 2d, k): the g and then the e slots of each selected block of each
     sample.
     """
-    grid = _sample_steps(t_max, dt, stride)
+    offset = 0 if Preparation(prep) is Preparation.GROUND else d
     generator = build_block_generator(p, d, mode, blocks)
     state0 = np.zeros((len(generator), 2 * d, field0.shape[-1]), dtype=complex)
-    offset = 0 if Preparation(prep) is Preparation.GROUND else d
     state0[:, offset : offset + d] = field0
     return _rk4_sampled(generator, state0, dt, grid)
 
@@ -306,7 +318,8 @@ def integrate_instrument(
     Classical fixed-step RK4; deterministic for fixed inputs.  t_max must be
     a whole number of steps of size dt.
     """
-    times, samples = _propagate_blocks(p, d, prep, np.eye(d), t_max, dt, mode, stride)
+    grid = _sample_steps(d, t_max, dt, stride)
+    times, samples = _propagate_blocks(p, d, prep, np.eye(d), dt, grid, mode)
     maps = _dense(samples)
     return InstrumentBranch(prep=Preparation(prep), times=times, m_g=maps[:, : d * d], m_e=maps[:, d * d :])
 
@@ -334,6 +347,7 @@ def conditional_trajectories(
     density matrix; anything else raises InvalidStateError before
     integrating.
     """
+    grid = _sample_steps(d, t_max, dt, stride)
     rho_f = np.asarray(rho_f, dtype=complex)
     if rho_f.shape != (d, d):
         raise ValueError(f"initial state shape {rho_f.shape} does not match d={d}")
@@ -341,7 +355,7 @@ def conditional_trajectories(
     i, j = _slots(d)
     live = np.flatnonzero(rho_f[i, j].any(axis=1))
     i = i[live]
-    times, samples = _propagate_blocks(p, d, prep, rho_f[i, j, None], t_max, dt, mode, stride, live)
+    times, samples = _propagate_blocks(p, d, prep, rho_f[i, j, None], dt, grid, mode, live)
     y_g, y_e = np.zeros((2, len(times), d, d), dtype=complex)
     y_g[:, i, j] = samples[..., :d, 0]
     y_e[:, i, j] = samples[..., d:, 0]

@@ -109,7 +109,7 @@ def extract_instrument_oracle(
     exceeds dt_limit(p), and DivergenceError when a column's trace drifts by
     more than 1e-9.
     """
-    grid = _sample_steps(t_max, dt, stride)
+    grid = _sample_steps(d, t_max, dt, stride)
     prep = Preparation(prep)
     limit = dt_limit(p)
     if dt > limit * (1 + 1e-12):

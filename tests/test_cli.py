@@ -128,6 +128,8 @@ class TestParseConfig:
             {"preset": None, "omega": 10**400, "delta": 0.0, "gamma_big": 1.0, "gamma_ge": 0.0, "gamma_eg": 0.0},
             {"t_max": 10**400},
             {"dt": 10**400},
+            # run would write the SVG over the CSV
+            {"csv_out": "a.csv", "svg_out": "a.csv"},
         ],
     )
     def test_invalid_configs_rejected(self, overrides, tmp_path):

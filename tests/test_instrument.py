@@ -5,6 +5,7 @@ from cavityprobe import instrument
 from cavityprobe.fock import InvalidStateError, TruncationMode, fock_state, maximally_mixed
 from cavityprobe.instrument import (
     DivergenceError,
+    InstrumentBranch,
     ModelParams,
     Preparation,
     _dense,
@@ -20,6 +21,18 @@ from cavityprobe.fock import annihilation_op, quadratic_ops
 
 STRONG = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
 WEAK = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.0, gamma_eg=0.01)
+# dt_limit(SLOW) = 0.01, so the oracle's step-size check lets dt = 0.01 through
+SLOW = ModelParams(omega=0.1, delta=0.0, gamma_big=1.0, gamma_ge=0.0, gamma_eg=0.5)
+
+
+@pytest.fixture
+def no_generator(monkeypatch):
+    """Make building any generator, reduced or joint, fail the test, so a check must come before it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator built before the inputs were checked")
+
+    monkeypatch.setattr("cavityprobe.instrument.build_block_generator", refuse)
+    monkeypatch.setattr("cavityprobe.oracle._liouvillian", refuse)
 
 
 def rand_density(rng, d):
@@ -401,22 +414,90 @@ class TestIntegration:
             with pytest.raises(ValueError, match="stride"):
                 integrate_instrument(STRONG, 2, Preparation.GROUND, 0.1, 0.01, stride=stride)
 
-    def test_time_grid_checked_before_any_generator_is_built(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("generator built before the time grid was checked")
-
-        monkeypatch.setattr("cavityprobe.instrument.build_block_generator", refuse)
-        monkeypatch.setattr("cavityprobe.oracle._liouvillian", refuse)
-        # dt_limit(slow) = 0.01, so the oracle's step-size check lets dt = 0.01 through
-        slow = ModelParams(omega=0.1, delta=0.0, gamma_big=1.0, gamma_ge=0.0, gamma_eg=0.5)
+    def test_time_grid_checked_before_any_generator_is_built(self, no_generator):
         rho = maximally_mixed(2)
         for t_max, stride in ((0.015, 1), (0.02, 0)):
             with pytest.raises(ValueError):
-                integrate_instrument(slow, 2, Preparation.GROUND, t_max, 0.01, stride=stride)
+                integrate_instrument(SLOW, 2, Preparation.GROUND, t_max, 0.01, stride=stride)
             with pytest.raises(ValueError):
-                conditional_trajectories(slow, 2, Preparation.GROUND, rho, t_max, 0.01, stride=stride)
+                conditional_trajectories(SLOW, 2, Preparation.GROUND, rho, t_max, 0.01, stride=stride)
             with pytest.raises(ValueError):
-                extract_instrument_oracle(slow, 2, Preparation.GROUND, t_max, 0.01, stride=stride)
+                extract_instrument_oracle(SLOW, 2, Preparation.GROUND, t_max, 0.01, stride=stride)
+
+
+def _runs(d=2, t_max=1.0, dt=0.01):
+    """Each library run as a thunk, on SLOW's valid grid unless d, t_max or dt is given."""
+    return {
+        "integrate_instrument": lambda: integrate_instrument(SLOW, d, "ground", t_max, dt),
+        "conditional_trajectories": lambda: conditional_trajectories(
+            SLOW, d, "ground", maximally_mixed(2), t_max, dt),
+        "extract_instrument_oracle": lambda: extract_instrument_oracle(SLOW, d, "ground", t_max, dt),
+    }
+
+
+def _takes_d(d):
+    """Every entry point that takes a truncation d, as a thunk."""
+    return {
+        "annihilation_op": lambda: annihilation_op(d),
+        "quadratic_ops": lambda: quadratic_ops(d),
+        "fock_state": lambda: fock_state(d, 0),
+        "maximally_mixed": lambda: maximally_mixed(d),
+        "build_block_generator": lambda: build_block_generator(SLOW, d),
+        **_runs(d=d),
+    }
+
+
+def _same(result, reference) -> bool:
+    """Whether two results of one entry point (an array, a tuple of arrays or an InstrumentBranch) hold equal arrays."""
+    if isinstance(result, InstrumentBranch):
+        result, reference = (result.times, result.m_g, result.m_e), (reference.times, reference.m_g, reference.m_e)
+    elif not isinstance(result, tuple):
+        result, reference = (result,), (reference,)
+    return all(map(np.array_equal, result, reference))
+
+
+class TestInputRules:
+    """Each run-input rule has one statement in the library, and every entry point applies it before building anything."""
+
+    @pytest.mark.parametrize("entry", list(_takes_d(2)))
+    @pytest.mark.parametrize("d", [2.0, 2.5, True, "2"])
+    def test_dimension_rule(self, no_generator, entry, d):
+        with pytest.raises(ValueError, match="^dimension must be a positive integer"):
+            _takes_d(d)[entry]()
+
+    @pytest.mark.parametrize("n", [1.5, True])
+    def test_level_rule(self, no_generator, n):
+        with pytest.raises(ValueError, match=r"^Fock level n must be an integer with 0 <= n < d=3"):
+            fock_state(3, n)
+
+    @pytest.mark.parametrize("name", ["omega", "delta", "gamma_big", "gamma_ge", "gamma_eg"])
+    @pytest.mark.parametrize("value", [True, "0.7", None, 10**400], ids=["True", "str", "None", "1e400"])
+    def test_number_rule_for_rates(self, no_generator, name, value):
+        rates = {**vars(SLOW), name: value}
+        with pytest.raises(ValueError, match=f"^{name} (must be a number|is an integer too large for a float)"):
+            ModelParams(**rates)
+
+    @pytest.mark.parametrize("entry", list(_runs()))
+    @pytest.mark.parametrize("key", ["t_max", "dt"])
+    @pytest.mark.parametrize("value", ["0.1", True])
+    def test_number_rule_for_the_grid(self, no_generator, entry, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be a number"):
+            _runs(**{key: value})[entry]()
+
+    def test_integer_grid_runs_in_float(self):
+        # the number rule admits any integer that fits a float, beyond int64 too
+        assert integrate_instrument(STRONG, 2, "ground", 2, 1).times.dtype == float
+        with pytest.raises(DivergenceError):
+            integrate_instrument(STRONG, 2, "ground", 10**300, 10**300)
+
+    def test_numpy_scalars_pass_every_rule(self):
+        for entry, make in _takes_d(np.int64(2)).items():
+            assert _same(make(), _takes_d(2)[entry]()), entry
+        assert np.array_equal(fock_state(np.int64(3), np.int64(1)), fock_state(3, 1))
+        p = ModelParams(**{name: np.float64(value) for name, value in vars(SLOW).items()})
+        assert p == SLOW and all(type(value) is float for value in vars(p).values())
+        for entry, make in _runs(t_max=np.float64(0.02), dt=np.float64(0.01)).items():
+            assert _same(make(), _runs(t_max=0.02)[entry]()), entry
 
 
 class TestConditionalState:

@@ -5,7 +5,10 @@ import re
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
+
+import pytest
 
 import cavityprobe
 from cavityprobe import fock, instrument, metrics, oracle, superop
@@ -29,3 +32,13 @@ def test_readme_library_example_runs(tmp_path):
     done = subprocess.run([sys.executable, "-c", block.group(1)], capture_output=True, text=True, env=env,
                           cwd=tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def test_version_is_stated_once():
+    """pyproject.toml reads the version from cavityprobe.__version__ instead of restating it."""
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        # setuptools marks its [tool.setuptools] support as beta with a warning
+        warnings.simplefilter("ignore", pyprojecttoml._BetaConfiguration)
+        project = pyprojecttoml.read_configuration(ROOT / "pyproject.toml", expand=True)["project"]
+    assert "version" in project["dynamic"] and project["version"] == cavityprobe.__version__
