@@ -107,6 +107,14 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_path(value) -> bool:
+    """Whether value is a nonempty string that open() takes as a path: no NUL, and encodable for the file system."""
+    try:
+        return isinstance(value, str) and value != "" and b"\0" not in os.fsencode(value)
+    except UnicodeEncodeError:  # a lone surrogate, which JSON's \ud800 escapes can produce
+        return False
+
+
 def parse_config(document: str) -> RunConfig:
     """Parse and validate a flat JSON config document."""
     try:
@@ -163,10 +171,10 @@ def _config_from(raw: dict) -> RunConfig:
         raise ConfigError(f"log_base must be 2 or 'e', got {log_base_raw!r}")
 
     csv_out = raw["csv_out"]
-    _require(isinstance(csv_out, str) and csv_out, "csv_out must be a nonempty path string")
+    _require(_is_path(csv_out), "csv_out must be a nonempty path string without NUL characters or lone surrogates")
     svg_out = raw.get("svg_out")
-    _require(svg_out is None or (isinstance(svg_out, str) and svg_out),
-             "svg_out must be a nonempty path string when given")
+    _require(svg_out is None or _is_path(svg_out),
+             "svg_out must be a nonempty path string without NUL characters or lone surrogates when given")
     _require(svg_out is None or os.path.abspath(svg_out) != os.path.abspath(csv_out),
              f"svg_out and csv_out name the same file {csv_out!r}")
 
@@ -290,12 +298,13 @@ _ML, _MR, _MT, _MB = 62, 140, 16, 42
 
 def plot(csv_text: str, columns: list[str]) -> str:
     """Render selected CSV columns against t as a deterministic SVG."""
-    reader = csv.reader(io.StringIO(csv_text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigError("CSV document is empty") from None
-    index = {name: k for k, name in enumerate(header)}
+        rows = list(csv.reader(io.StringIO(csv_text)))
+    except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
+        raise ConfigError(f"CSV document is malformed: {exc}") from None
+    if not rows:
+        raise ConfigError("CSV document is empty")
+    index = {name: k for k, name in enumerate(rows[0])}
     if "t" not in index:
         raise ConfigError("CSV has no 't' column")
     missing = [c for c in columns if c not in index]
@@ -303,7 +312,7 @@ def plot(csv_text: str, columns: list[str]) -> str:
         raise ConfigError(f"columns not present in CSV: {', '.join(missing)}")
     if not columns:
         raise ConfigError("no columns selected")
-    rows = [row for row in reader if row]
+    rows = [row for row in rows[1:] if row]
     if len(rows) < 2:
         raise ConfigError(f"need at least 2 data rows to plot, got {len(rows)}")
 
@@ -386,8 +395,16 @@ def _draw(times, series: list) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _read_document(path: str) -> str:
+    """The UTF-8 text of a config or CSV file; a file that is not UTF-8 is a ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_config(path: str) -> RunConfig:
-    config = parse_config(Path(path).read_text(encoding="utf-8"))
+    config = parse_config(_read_document(path))
     for warning in config_warnings(config):
         print(f"warning: {warning}", file=sys.stderr)
     return config
@@ -427,7 +444,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     columns = [c for c in args.columns.split(",") if c]
-    svg = plot(Path(args.csv).read_text(encoding="utf-8"), columns)
+    svg = plot(_read_document(args.csv), columns)
     _write_text(args.out, svg)
     return 0
 

@@ -10,6 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import InvalidStateError, check_density_matrix
+from .instrument import _number
 
 __all__ = [
     "PositivityError",
@@ -48,9 +49,10 @@ def _checked_eig(rho: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np
 def von_neumann_entropy(rho: np.ndarray, base: float = 2.0):
     """Entropy -sum(lam log lam) of a density matrix, with 0 log 0 = 0.
 
-    A (..., d, d) stack gives an array of shape (...).  base must be finite,
-    positive and not 1.
+    A (..., d, d) stack gives an array of shape (...).  base must be a real
+    number, not a bool, that is finite, positive and not 1.
     """
+    base = _number("log base", base)
     if not (np.isfinite(base) and base > 0 and base != 1):
         raise ValueError(f"log base must be finite, positive and not 1, got {base!r}")
     vals, _ = _checked_eig(rho)

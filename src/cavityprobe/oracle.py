@@ -16,9 +16,11 @@ and ee blocks (and with them the outcome maps) are unchanged.
 
 The atomic dissipator carries the two population channels at gamma_ge and
 gamma_eg plus a pure dephasing channel sized so the total coherence decay
-rate equals gamma_big.  Population relaxation alone only contributes
+rate equals gamma_big: population relaxation alone only contributes
 (gamma_ge + gamma_eg) / 2, and the reduced model treats gamma_big as an
-independent parameter, so the remainder must be realized explicitly.
+independent parameter.  With the effective Hamiltonian K = -i H - sum rate
+J^dagger J / 2 over these jumps J, the generator is rho -> K rho + rho K^dagger
++ sum rate J rho J^dagger (Dalibard, Castin & Molmer, PRL 68, 580 (1992)).
 """
 
 from __future__ import annotations
@@ -79,16 +81,13 @@ def joint_liouvillian(p: ModelParams, d: int, t: float) -> np.ndarray:
 
 
 def _liouvillian(p: ModelParams, d: int, h: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of -i[h, .] plus the atomic dissipator."""
+    """Superoperator matrix of the joint generator with Hamiltonian h, built through K as stated above."""
     eye = np.eye(2 * d, dtype=complex)
-    lv = -1j * (sandwich_superop(h, eye) - sandwich_superop(eye, h))
-    for op, rate in _jump_ops(p, d):
-        opd_op = op.conj().T @ op
-        lv += rate * (
-            sandwich_superop(op, op.conj().T)
-            - 0.5 * sandwich_superop(opd_op, eye)
-            - 0.5 * sandwich_superop(eye, opd_op)
-        )
+    jumps = _jump_ops(p, d)
+    k = -1j * h - 0.5 * sum(rate * op.conj().T @ op for op, rate in jumps)
+    lv = sandwich_superop(k, eye) + sandwich_superop(eye, k.conj().T)
+    for op, rate in jumps:
+        lv += rate * sandwich_superop(op, op.conj().T)
     return lv
 
 

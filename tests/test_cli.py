@@ -130,6 +130,10 @@ class TestParseConfig:
             {"dt": 10**400},
             # run would write the SVG over the CSV
             {"csv_out": "a.csv", "svg_out": "a.csv"},
+            # no file system takes a NUL, or a lone surrogate, in a path
+            {"csv_out": "a\u0000b.csv"},
+            {"svg_out": "a\u0000b.svg"},
+            {"csv_out": "a\ud800.csv"},
         ],
     )
     def test_invalid_configs_rejected(self, overrides, tmp_path):
@@ -470,6 +474,21 @@ class TestMainExitCodes:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
 
+    @pytest.mark.parametrize("verb, name, content, named", [
+        ("validate", "config.json", b'{"preset": "weak"\xff}', "not UTF-8"),
+        ("run", "config.json", b"\xff\xfe{}", "not UTF-8"),
+        ("plot", "in.csv", b"t,P_g\n\xff,1\n1,2\n", "not UTF-8"),
+        ("plot", "in.csv", b"t,P_g\n0," + b"1" * 131073 + b"\n1,2\n", "field limit"),
+    ], ids=["validate-not-utf8", "run-not-utf8", "plot-not-utf8", "plot-cell-too-long"])
+    def test_malformed_documents_are_2_with_one_error_line(self, tmp_path, capsys, verb, name, content, named):
+        path = tmp_path / name
+        path.write_bytes(content)
+        args = ["--csv", str(path), "--out", str(tmp_path / "out.svg"), "--columns", "P_g"] if verb == "plot" \
+            else ["--config", str(path)]
+        assert main([verb, *args]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+
     def test_validate_does_not_allocate_the_samples(self, tmp_path, capsys):
         # 1e15 samples could never be stored, but validating the grid needs only the step count
         path = write_config(tmp_path, preset="weak", d=2, t_max=1e15, dt=1.0, stride=1)
@@ -502,9 +521,14 @@ class TestMainExitCodes:
 
 
 def test_tier1_paths_do_not_import_scipy(tmp_path):
-    """numpy is the only runtime dependency: a sweep and a secular residual run without importing scipy."""
+    """numpy is the only runtime dependency: after numpy, importing the CLI adds only the standard
+    library and cavityprobe, and a sweep and a secular residual run without importing scipy."""
     script = (
         "import sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import cavityprobe.cli\n"
+        "print(sorted({name.split('.')[0] for name in set(sys.modules) - before} - sys.stdlib_module_names))\n"
         "from cavityprobe import ModelParams, Preparation, cli, secular_residual\n"
         "assert cli.main(['sweep', '--out-dir', sys.argv[1], '--t-max', '0.1']) == 0\n"
         "secular_residual(ModelParams(**cli.PRESETS['strong']), 2, Preparation.GROUND, 0.1, 0.005)\n"
@@ -513,4 +537,6 @@ def test_tier1_paths_do_not_import_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    lines = done.stdout.splitlines()
+    assert lines[0] == "['cavityprobe']"
+    assert lines[-1] == "[]"

@@ -38,7 +38,8 @@ class TestEntropy:
     def test_natural_log_base(self):
         assert von_neumann_entropy(maximally_mixed(2), base=np.e) == pytest.approx(np.log(2), abs=1e-12)
 
-    @pytest.mark.parametrize("base", [1.0, 0.0, -2.0, np.nan, np.inf])
+    @pytest.mark.parametrize("base", [1.0, 0.0, -2.0, np.nan, np.inf, "e", None, 2 + 0j,
+                                      pytest.param(10**400, id="10**400")])
     def test_rejects_log_bases_without_a_finite_logarithm(self, base):
         with pytest.raises(ValueError, match="log base"):
             von_neumann_entropy(maximally_mixed(2), base=base)

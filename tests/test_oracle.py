@@ -1,17 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from cavityprobe.fock import fock_state, maximally_mixed
 from cavityprobe.instrument import ModelParams, Preparation, integrate_instrument
 from cavityprobe.oracle import (
+    dt_limit,
     extract_instrument_oracle,
     joint_hamiltonian,
     joint_liouvillian,
     _pure_dephasing_rate,
     secular_residual,
 )
-from cavityprobe.superop import apply_superop, unvec, vec
+from cavityprobe.superop import apply_superop, sandwich_superop, unvec, vec
 
 STRONG = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
 
@@ -45,6 +48,63 @@ def test_hamiltonian_couples_excitation_exchange():
 def test_zero_liouvillian_without_drives_or_dissipation():
     p = ModelParams(omega=0.0, delta=0.5, gamma_big=0.0, gamma_ge=0.0, gamma_eg=0.0)
     assert np.max(np.abs(joint_liouvillian(p, 2, 1.3))) == 0.0
+
+
+def textbook_liouvillian(p, d, h):
+    """-i[h, .] plus each channel's J . J^dagger - {J^dagger J, .}/2, zero rates included: the reference form."""
+    sigma_plus = np.array([[0.0, 0.0], [1.0, 0.0]])
+    channels = [
+        (sigma_plus.T, p.gamma_eg),
+        (sigma_plus, p.gamma_ge),
+        (np.diag([-1.0, 1.0]), 0.5 * (p.gamma_big - 0.5 * (p.gamma_ge + p.gamma_eg))),
+    ]
+    eye = np.eye(2 * d, dtype=complex)
+    lv = -1j * (sandwich_superop(h, eye) - sandwich_superop(eye, h))
+    for atom_op, rate in channels:
+        op = np.kron(atom_op, np.eye(d)).astype(complex)
+        opd_op = op.conj().T @ op
+        lv += rate * (
+            sandwich_superop(op, op.conj().T)
+            - 0.5 * sandwich_superop(opd_op, eye)
+            - 0.5 * sandwich_superop(eye, opd_op)
+        )
+    return lv
+
+
+def frame_generator(p, d):
+    """The constant generator extract_instrument_oracle hands to the RK4 kernel."""
+
+    class Captured(Exception):
+        pass
+
+    def capture(generator, *args):
+        raise Captured(generator)
+
+    with mock.patch("cavityprobe.oracle._rk4_sampled", capture), pytest.raises(Captured) as caught:
+        extract_instrument_oracle(p, d, Preparation.GROUND, dt_limit(p), dt_limit(p))
+    return caught.value.args[0]
+
+
+RATES = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 4), RATES, st.floats(-5.0, 5.0), RATES, RATES, RATES, st.floats(-10.0, 10.0))
+@example(3, 0.7, 0.5, 1.45, 0.1, 1.0, 0.3)  # the strong preset
+@example(2, 0.7, 0.5, 0.0, 0.1, 1.0, 0.3)  # gamma_big at its floor: no dephasing channel
+@example(2, 0.7, 0.5, 0.0, 0.0, 0.0, 0.3)  # no dissipation at all
+def test_effective_hamiltonian_form_matches_textbook_form(d, omega, delta, above_floor, gamma_ge, gamma_eg, t):
+    """joint_liouvillian and the frame generator, built through K = -iH - sum rate J^dagger J / 2,
+    against the commutator plus the Lindblad dissipator of every channel."""
+    try:
+        p = ModelParams(omega=omega, delta=delta, gamma_big=0.5 * (gamma_ge + gamma_eg) + above_floor,
+                        gamma_ge=gamma_ge, gamma_eg=gamma_eg)
+    except ValueError:  # kappa's denominator gamma_big**2 + delta**2 underflows to 0
+        reject()
+    frame_h = joint_hamiltonian(p, d, 0.0) + delta * np.kron(np.diag([0.0, 1.0]), np.eye(d))
+    for built, h in ((joint_liouvillian(p, d, t), joint_hamiltonian(p, d, t)), (frame_generator(p, d), frame_h)):
+        reference = textbook_liouvillian(p, d, h)
+        assert np.max(np.abs(built - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_liouvillian_is_trace_free():
