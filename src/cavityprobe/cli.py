@@ -115,6 +115,12 @@ def _is_path(value) -> bool:
         return False
 
 
+def _require_apart(out_key: str, out: str | None, in_key: str, path: str) -> None:
+    """Refuse an output path that names the file at `path`, compared as absolute paths; no output (None) passes."""
+    _require(out is None or os.path.abspath(out) != os.path.abspath(path),
+             f"{out_key} and {in_key} name the same file {path!r}")
+
+
 def parse_config(document: str) -> RunConfig:
     """Parse and validate a flat JSON config document."""
     try:
@@ -175,8 +181,7 @@ def _config_from(raw: dict) -> RunConfig:
     svg_out = raw.get("svg_out")
     _require(svg_out is None or _is_path(svg_out),
              "svg_out must be a nonempty path string without NUL characters or lone surrogates when given")
-    _require(svg_out is None or os.path.abspath(svg_out) != os.path.abspath(csv_out),
-             f"svg_out and csv_out name the same file {csv_out!r}")
+    _require_apart("svg_out", svg_out, "csv_out", csv_out)
 
     d, t_max, dt, stride = raw["d"], raw["t_max"], raw.get("dt", RunConfig.dt), raw.get("stride", RunConfig.stride)
     try:
@@ -233,8 +238,7 @@ def run(config: RunConfig) -> str:
     text = render_csv(records)
     _write_text(config.csv_out, text)
     if config.svg_out:
-        columns = dict(zip(CSV_COLUMNS, zip(*records)))
-        _write_text(config.svg_out, _draw(columns["t"], [(name, columns[name]) for name in _PLOT_COLUMNS]))
+        _write_text(config.svg_out, _draw(dict(zip(CSV_COLUMNS, zip(*records))), _PLOT_COLUMNS))
     return text
 
 
@@ -298,27 +302,25 @@ _ML, _MR, _MT, _MB = 62, 140, 16, 42
 
 def plot(csv_text: str, columns: list[str]) -> str:
     """Render selected CSV columns against t as a deterministic SVG."""
+    reader = csv.DictReader(io.StringIO(csv_text))  # skips blank rows; a short row's missing cells are None
     try:
-        rows = list(csv.reader(io.StringIO(csv_text)))
+        header, rows = reader.fieldnames, list(reader)
     except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
         raise ConfigError(f"CSV document is malformed: {exc}") from None
-    if not rows:
+    if header is None:
         raise ConfigError("CSV document is empty")
-    index = {name: k for k, name in enumerate(rows[0])}
-    if "t" not in index:
+    if "t" not in header:
         raise ConfigError("CSV has no 't' column")
-    missing = [c for c in columns if c not in index]
+    missing = [c for c in columns if c not in header]
     if missing:
         raise ConfigError(f"columns not present in CSV: {', '.join(missing)}")
     if not columns:
         raise ConfigError("no columns selected")
-    rows = [row for row in rows[1:] if row]
     if len(rows) < 2:
         raise ConfigError(f"need at least 2 data rows to plot, got {len(rows)}")
 
-    def number(k: int, row: list[str], name: str) -> float | None:
-        """Cell `name` of data row k as a finite float; None when empty, except in 't'."""
-        text = row[index[name]] if index[name] < len(row) else None
+    def number(k: int, text: str | None, name: str) -> float | None:
+        """Cell `text` of column `name` in data row k as a finite float; None when empty, except in 't'."""
         if text == "" and name != "t":
             return None
         try:
@@ -330,27 +332,30 @@ def plot(csv_text: str, columns: list[str]) -> str:
             raise ConfigError(f"column {name!r}, data row {k}: need a finite number, found {found}")
         return value
 
-    times = [number(k, row, "t") for k, row in enumerate(rows, 1)]
-    return _draw(times, [(name, [number(k, row, name) for k, row in enumerate(rows, 1)]) for name in columns])
+    return _draw({name: [number(k, row[name], name) for k, row in enumerate(rows, 1)] for name in ("t", *columns)},
+                 columns)
 
 
-def _draw(times, series: list) -> str:
-    """SVG of each (name, values) series against `times`; values are finite floats, or None where undefined."""
-    t = np.array(times, dtype=float)
-    ys = [np.array(values, dtype=float) for _, values in series]  # None becomes nan
-    points = [(name, t[~np.isnan(y)], y[~np.isnan(y)]) for (name, _), y in zip(series, ys)]
+def _draw(table: dict, names) -> str:
+    """SVG of the columns `names` of `table` against its column 't'; values are finite floats, or None if undefined."""
+    t = np.array(table["t"], dtype=float)
+    ys = [np.array(table[name], dtype=float) for name in names]  # None becomes nan
+    points = [(name, t[~np.isnan(y)], y[~np.isnan(y)]) for name, y in zip(names, ys)]
     y_defined = [y for _, _, y in points if y.size]
     if not y_defined:
-        raise ConfigError(f"no defined values to plot in columns: {', '.join(name for name, _ in series)}")
+        raise ConfigError(f"no defined values to plot in columns: {', '.join(names)}")
 
-    x_lo, x_hi = min(times), max(times)  # builtins keep the first of equal extremes, such as 0.0 before -0.0
-    y_lo, y_hi = min(float(y.min()) for y in y_defined), max(float(y.max()) for y in y_defined)
+    # builtins keep the first of equal extremes, such as 0.0 before -0.0
+    x_lo, x_hi = x_data = min(table["t"]), max(table["t"])
+    y_lo, y_hi = y_data = min(float(y.min()) for y in y_defined), max(float(y.max()) for y in y_defined)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    for label, (lo, hi), span in (("t", x_data, x_hi - x_lo), (", ".join(names), y_data, y_hi - y_lo)):
+        _require(0.0 < span < math.inf, f"cannot scale an axis to {label} values from {lo!r} to {hi!r}")
 
     # Both maps act elementwise, on a float or on an array, with the same rounding.
     def sx(x):
@@ -390,7 +395,8 @@ def _draw(times, series: list) -> str:
         ly = _MT + 16 + 18 * k
         lx = _SVG_W - _MR + 12
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="{lx + 28}" y="{ly}" font-size="12">{name}</text>')
+        legend = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")  # the SVG's only input text
+        parts.append(f'<text x="{lx + 28}" y="{ly}" font-size="12">{legend}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -405,6 +411,8 @@ def _read_document(path: str) -> str:
 
 def _load_config(path: str) -> RunConfig:
     config = parse_config(_read_document(path))
+    for key in ("csv_out", "svg_out"):
+        _require_apart(key, getattr(config, key), "--config", path)
     for warning in config_warnings(config):
         print(f"warning: {warning}", file=sys.stderr)
     return config
@@ -443,6 +451,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    _require_apart("--out", args.out, "--csv", args.csv)
     columns = [c for c in args.columns.split(",") if c]
     svg = plot(_read_document(args.csv), columns)
     _write_text(args.out, svg)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -324,8 +325,12 @@ class TestPlot:
         ("", "P_g", "CSV document is empty"),
         ("P_g\n1.0\n0.9\n", "P_g", "CSV has no 't' column"),
         ("t,P_g\n0.0,1.0\n1.0,0.9\n", ",", "no columns selected"),
+        # t + 1 and the +-0.5 widening are lost in rounding at 1e17, and 1e308 - -1e308 overflows
+        ("t,P_g\n1e17,1.0\n1e17,0.9\n", "P_g", "cannot scale an axis to t values from 1e+17 to 1e+17"),
+        ("t,P_g\n0.0,1e17\n1.0,1e17\n", "P_g", "cannot scale an axis to P_g values from 1e+17 to 1e+17"),
+        ("t,P_g\n0.0,1e308\n1.0,-1e308\n", "P_g", "cannot scale an axis to P_g values from -1e+308 to 1e+308"),
     ], ids=["text-cell", "short-row", "nan-cell", "empty-t", "no-defined-values", "empty-csv", "no-t-column",
-            "no-columns"])
+            "no-columns", "t-too-large", "flat-values-too-large", "values-too-far-apart"])
     def test_bad_cells_exit_2(self, tmp_path, capsys, text, column, message):
         csv_path = tmp_path / "in.csv"
         csv_path.write_text(text)
@@ -333,6 +338,19 @@ class TestPlot:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "fig.svg").exists()
+
+    def test_every_svg_is_well_formed_xml(self, tmp_path, capsys):
+        """A legend name is escaped, so the SVGs that plot, run and sweep write all parse as XML."""
+        csv_path = tmp_path / "in.csv"
+        csv_path.write_text("t,P&g<1>\n0.0,1.0\n1.0,0.9\n")
+        assert main(["plot", "--csv", str(csv_path), "--out", str(tmp_path / "plot.svg"), "--columns", "P&g<1>"]) == 0
+        assert main(["run", "--config", str(write_config(tmp_path, svg_out=str(tmp_path / "run.svg")))]) == 0
+        assert main(["sweep", "--out-dir", str(tmp_path / "grid"), "--preset", "weak", "--t-max", "0.1"]) == 0
+        paths = [tmp_path / "plot.svg", tmp_path / "run.svg", *sorted((tmp_path / "grid").glob("*.svg"))]
+        assert len(paths) == 8
+        roots = [ElementTree.parse(path).getroot() for path in paths]
+        assert all(root.tag == "{http://www.w3.org/2000/svg}svg" for root in roots)
+        assert "P&g<1>" in [text.text for text in roots[0].iter("{http://www.w3.org/2000/svg}text")]
 
 
 class TestSweep:
@@ -488,6 +506,25 @@ class TestMainExitCodes:
         assert main([verb, *args]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+
+    @pytest.mark.parametrize("verb, key", [
+        ("validate", "csv_out"), ("run", "csv_out"), ("validate", "svg_out"), ("run", "svg_out"), ("plot", "--out"),
+    ])
+    def test_output_naming_an_input_is_2(self, tmp_path, capsys, verb, key):
+        # "/./" spells the input's path another way; the paths are compared as absolute paths
+        path, same = tmp_path / "in.txt", f"{tmp_path}/./in.txt"
+        if verb == "plot":
+            path.write_text(TestPlot.CSV)
+            args, source = ["--csv", str(path), "--out", same], "--csv"
+        else:
+            path.write_text(json.dumps(make_config(tmp_path, **{key: same})))
+            args, source = ["--config", str(path)], "--config"
+        document = path.read_text()
+        assert main([verb, *args]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {key} and {source} name the same file")
+        assert path.read_text() == document
+        assert not (tmp_path / "out.csv").exists()
 
     def test_validate_does_not_allocate_the_samples(self, tmp_path, capsys):
         # 1e15 samples could never be stored, but validating the grid needs only the step count

@@ -15,7 +15,7 @@ from cavityprobe.instrument import (
     integrate_instrument,
 )
 from cavityprobe.metrics import PositivityError, metrics_series
-from cavityprobe.oracle import extract_instrument_oracle
+from cavityprobe.oracle import extract_instrument_oracle, secular_residual
 from cavityprobe.superop import apply_superop, choi_matrix, sandwich_superop, unvec, vec
 from cavityprobe.fock import annihilation_op, quadratic_ops
 
@@ -432,6 +432,7 @@ def _runs(d=2, t_max=1.0, dt=0.01):
         "conditional_trajectories": lambda: conditional_trajectories(
             SLOW, d, "ground", maximally_mixed(2), t_max, dt),
         "extract_instrument_oracle": lambda: extract_instrument_oracle(SLOW, d, "ground", t_max, dt),
+        "secular_residual": lambda: secular_residual(SLOW, d, "ground", t_max, dt),
     }
 
 
@@ -448,7 +449,9 @@ def _takes_d(d):
 
 
 def _same(result, reference) -> bool:
-    """Whether two results of one entry point (an array, a tuple of arrays or an InstrumentBranch) hold equal arrays."""
+    """Whether two results of one entry point (an array, a tuple of arrays, an InstrumentBranch or a dict) are equal."""
+    if isinstance(result, dict):
+        return result == reference
     if isinstance(result, InstrumentBranch):
         result, reference = (result.times, result.m_g, result.m_e), (reference.times, reference.m_g, reference.m_e)
     elif not isinstance(result, tuple):

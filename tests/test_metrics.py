@@ -104,6 +104,11 @@ class TestFidelity:
         with pytest.raises(InvalidStateError):
             uhlmann_fidelity(np.diag([1.2, -0.2]), maximally_mixed(2))
 
+    def test_rejects_fidelity_above_one(self):
+        # eye(2) has trace 2, so its fidelity with eye(2) / 2 is sqrt(2)
+        with pytest.raises(InvalidStateError, match="fidelity 1.414.* exceeds one"):
+            uhlmann_fidelity(np.eye(2), np.eye(2) / 2)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
     @pytest.mark.parametrize("side", ["rho", "sigma"])

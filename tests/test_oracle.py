@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from cavityprobe.fock import fock_state, maximally_mixed
-from cavityprobe.instrument import ModelParams, Preparation, integrate_instrument
+from cavityprobe.instrument import DivergenceError, ModelParams, Preparation, integrate_instrument
 from cavityprobe.oracle import (
     dt_limit,
     extract_instrument_oracle,
@@ -203,6 +203,15 @@ def test_evolution_preserves_trace_and_positivity():
 def test_dt_limit_enforced():
     with pytest.raises(ValueError, match="too coarse"):
         extract_instrument_oracle(STRONG, 2, Preparation.GROUND, 1.0, 0.05)
+
+
+def test_trace_drift_names_the_first_sample_that_drifts(monkeypatch):
+    """A generator that only damps, at rate r, drifts by 1 - exp(-r t): past 1e-9 first at t = 0.46 here."""
+    rate = 1e-9 / 0.455
+    monkeypatch.setattr("cavityprobe.oracle._liouvillian", lambda p, d, h: -rate * np.eye(4 * d * d, dtype=complex))
+    with pytest.raises(DivergenceError, match=r"at t=0\.46: trace drifted by 1\.01\de-09") as info:
+        extract_instrument_oracle(STRONG, 2, Preparation.GROUND, 1.0, 0.005, stride=2)
+    assert info.value.t == pytest.approx(0.46)
 
 
 def test_extraction_initial_condition():
