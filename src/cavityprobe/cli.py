@@ -116,9 +116,11 @@ def _is_path(value) -> bool:
 
 
 def _require_apart(out_key: str, out: str | None, in_key: str, path: str) -> None:
-    """Refuse an output path that names the file at `path`, compared as absolute paths; no output (None) passes."""
-    _require(out is None or os.path.abspath(out) != os.path.abspath(path),
-             f"{out_key} and {in_key} name the same file {path!r}")
+    """Refuse an output path that reaches the file at `path`: the same path once links are resolved, or, where
+    both exist, the same file (a hard link); no output (None) passes."""
+    same = out is not None and (os.path.realpath(out) == os.path.realpath(path)
+                                or os.path.exists(out) and os.path.exists(path) and os.path.samefile(out, path))
+    _require(not same, f"{out_key} and {in_key} name the same file {path!r}")
 
 
 def parse_config(document: str) -> RunConfig:

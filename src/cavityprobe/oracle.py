@@ -21,6 +21,13 @@ rate equals gamma_big: population relaxation alone only contributes
 independent parameter.  With the effective Hamiltonian K = -i H - sum rate
 J^dagger J / 2 over these jumps J, the generator is rho -> K rho + rho K^dagger
 + sum rate J rho J^dagger (Dalibard, Castin & Molmer, PRL 68, 580 (1992)).
+
+The generator conserves q = N(x) - N(y) for each joint matrix unit |x><y|,
+with N = |e><e| + a+a: H trades one excitation between atom and field, and
+each jump shifts both sides of J rho J^dagger alike.  Order q holds 4d - 2
+units at q = 0, 4 (d - |q|) at 0 < |q| < d and one at |q| = d, so each class
+q mod d fills exactly 4d: the orders q and q - d, or 0 and +-d.  The oracle
+integrates the generator as the (d, 4d, 4d) stack of these blocks (_units).
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ from .instrument import (
     _sample_steps,
     integrate_instrument,
 )
-from .superop import sandwich_superop, unvec, vec
 
 __all__ = [
     "dt_limit",
@@ -53,6 +59,11 @@ _SIGMA_MINUS = _SIGMA_PLUS.conj().T
 _SIGMA_Z = np.diag([-1.0, 1.0]).astype(complex)
 
 
+def _joint(atom: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """The operator atom (x) field, atom index major as in np.kron."""
+    return (atom[:, None, :, None] * field[None, :, None, :]).reshape(2 * len(field), 2 * len(field))
+
+
 def _pure_dephasing_rate(p: ModelParams) -> float:
     """Dephasing needed beyond population relaxation to reach gamma_big."""
     return p.gamma_big - 0.5 * (p.gamma_ge + p.gamma_eg)
@@ -61,33 +72,44 @@ def _pure_dephasing_rate(p: ModelParams) -> float:
 def joint_hamiltonian(p: ModelParams, d: int, t: float) -> np.ndarray:
     """Exchange Hamiltonian sigma+ a e^{i delta t} + h.c. on atom (x) field."""
     a = annihilation_op(d)
-    coupling = p.omega * np.kron(_SIGMA_PLUS, a)
+    coupling = p.omega * _joint(_SIGMA_PLUS, a)
     return coupling * np.exp(1j * p.delta * t) + coupling.conj().T * np.exp(-1j * p.delta * t)
 
 
 def _jump_ops(p: ModelParams, d: int) -> list[tuple[np.ndarray, float]]:
     eye_f = np.eye(d, dtype=complex)
     jumps = [
-        (np.kron(_SIGMA_MINUS, eye_f), p.gamma_eg),
-        (np.kron(_SIGMA_PLUS, eye_f), p.gamma_ge),
-        (np.kron(_SIGMA_Z, eye_f), 0.5 * _pure_dephasing_rate(p)),
+        (_joint(_SIGMA_MINUS, eye_f), p.gamma_eg),
+        (_joint(_SIGMA_PLUS, eye_f), p.gamma_ge),
+        (_joint(_SIGMA_Z, eye_f), 0.5 * _pure_dephasing_rate(p)),
     ]
     return [(op, rate) for op, rate in jumps if rate > 0.0]
 
 
 def joint_liouvillian(p: ModelParams, d: int, t: float) -> np.ndarray:
     """Superoperator matrix of the joint generator at time t (dimension (2d)^2)."""
-    return _liouvillian(p, d, joint_hamiltonian(p, d, t))
+    return _liouvillian(p, d, joint_hamiltonian(p, d, t), np.arange(4 * d * d))
 
 
-def _liouvillian(p: ModelParams, d: int, h: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of the joint generator with Hamiltonian h, built through K as stated above."""
+def _units(d: int) -> np.ndarray:
+    """The vec positions x + 2d y of the joint units |x><y| as (d, 4d): row b holds, in vec order, those with q = b mod d."""
+    a = annihilation_op(d)
+    charge = np.diagonal(_joint(_SIGMA_PLUS @ _SIGMA_MINUS, np.eye(d)) + _joint(np.eye(2), a.conj().T @ a)).real.round()
+    y, x = np.divmod(np.arange(4 * d * d), 2 * d)
+    return np.argsort((charge[x] - charge[y]) % d, kind="stable").reshape(d, 4 * d)
+
+
+def _liouvillian(p: ModelParams, d: int, h: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """The joint generator with Hamiltonian h, built through K as stated above, on the units at the (..., n) vec positions."""
+    y, x = np.divmod(units, 2 * d)
+    def sandwich(a, b):  # entries of X -> A X B between the units |x><y|: [..., r, c] = A[x_r, x_c] B[y_c, y_r]
+        return a[x[..., :, None], x[..., None, :]] * b[y[..., None, :], y[..., :, None]]
     eye = np.eye(2 * d, dtype=complex)
     jumps = _jump_ops(p, d)
     k = -1j * h - 0.5 * sum(rate * op.conj().T @ op for op, rate in jumps)
-    lv = sandwich_superop(k, eye) + sandwich_superop(eye, k.conj().T)
+    lv = sandwich(k, eye) + sandwich(eye, k.conj().T)
     for op, rate in jumps:
-        lv += rate * sandwich_superop(op, op.conj().T)
+        lv += rate * sandwich(op, op.conj().T)
     return lv
 
 
@@ -113,20 +135,27 @@ def extract_instrument_oracle(
     limit = dt_limit(p)
     if dt > limit * (1 + 1e-12):
         raise ValueError(f"dt={dt} too coarse for these rates; need dt <= {limit:.6g}")
-    # positions[i, j] is where the joint entry <i|rho|j> sits in vec(rho); the
-    # pointer's |g> and |e> blocks give the rows of M_g and M_e in vec order.
-    positions = unvec(np.arange(4 * d * d))
-    g_rows, e_rows = vec(positions[:d, :d]), vec(positions[d:, d:])
-    columns = np.zeros((4 * d * d, d * d), dtype=complex)
-    columns[g_rows if prep is Preparation.GROUND else e_rows, np.arange(d * d)] = 1.0
-    frame_hamiltonian = joint_hamiltonian(p, d, 0.0) + p.delta * np.kron(np.diag([0.0, 1.0]), np.eye(d))
-    times, samples = _rk4_sampled(_liouvillian(p, d, frame_hamiltonian), columns, dt, grid)
-    traces = samples[:, positions.diagonal()].sum(axis=1)
+    units = _units(d)
+    y, x = np.divmod(units, 2 * d)
+    atom, field = x // d, x % d + d * (y % d)  # field: the vec position of the unit's field part
+    # Column k of block b starts at the block's k-th unit |a, m><a, n| of the
+    # prepared pointer a; the gg and ee units are rows atom d^2 + field of (M_g; M_e).
+    start = np.nonzero((atom == (prep is Preparation.EXCITED)) & (y // d == atom))
+    columns = np.zeros((d, 4 * d, d), dtype=complex)
+    columns[(*start, np.arange(d * d) % d)] = 1.0
+    frame_hamiltonian = joint_hamiltonian(p, d, 0.0) + p.delta * _joint(np.diag([0.0, 1.0]), np.eye(d))
+    times, samples = _rk4_sampled(_liouvillian(p, d, frame_hamiltonian, units), columns, dt, grid)
+    traces = samples[:, x == y].sum(axis=1)
     drift = np.abs(traces - traces[0]).max(axis=1)
     bad = np.flatnonzero(drift > 1e-9)
     if bad.size:
         raise DivergenceError(times[bad[0]], f"trace drifted by {drift[bad[0]]:.3e}")
-    return InstrumentBranch(prep=prep, times=times, m_g=samples[:, g_rows], m_e=samples[:, e_rows])
+    read = np.nonzero(y // d == atom)
+    flat = (atom * d * d + field)[read][:, None] * (d * d) + field[start].reshape(d, d)[read[0]]
+    maps = np.zeros((len(times), 2 * d * d, d * d), dtype=complex)
+    for dst, sample in zip(maps.reshape(len(times), -1), samples):  # one matrix at a time, as instrument._dense
+        dst[flat] = sample[read]
+    return InstrumentBranch(prep=prep, times=times, m_g=maps[:, : d * d], m_e=maps[:, d * d :])
 
 
 def secular_residual(

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "vec",
     "unvec",
-    "sandwich_superop",
     "apply_superop",
     "choi_matrix",
 ]
@@ -47,7 +46,7 @@ def _superop_dim(s: np.ndarray) -> int:
     return d
 
 
-def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix of the map X -> A X B."""
     a = np.asarray(a)
     b = np.asarray(b)

@@ -511,7 +511,7 @@ class TestMainExitCodes:
         ("validate", "csv_out"), ("run", "csv_out"), ("validate", "svg_out"), ("run", "svg_out"), ("plot", "--out"),
     ])
     def test_output_naming_an_input_is_2(self, tmp_path, capsys, verb, key):
-        # "/./" spells the input's path another way; the paths are compared as absolute paths
+        # "/./" spells the input's path another way; the paths are compared once resolved
         path, same = tmp_path / "in.txt", f"{tmp_path}/./in.txt"
         if verb == "plot":
             path.write_text(TestPlot.CSV)
@@ -525,6 +525,27 @@ class TestMainExitCodes:
         assert len(lines) == 1 and lines[0].startswith(f"error: {key} and {source} name the same file")
         assert path.read_text() == document
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("link", ["symlink", "hardlink"])
+    @pytest.mark.parametrize("verb, key", [("run", "csv_out"), ("plot", "--out")])
+    def test_output_linked_to_an_input_is_2(self, tmp_path, capsys, verb, key, link):
+        """An output reached through a link to the input is the input: refused before anything is written."""
+        path, linked = tmp_path / "in.txt", tmp_path / "linked.csv"
+        if verb == "plot":
+            path.write_text(TestPlot.CSV)
+            args, source = ["--csv", str(path), "--out", str(linked)], "--csv"
+        else:
+            path.write_text(json.dumps(make_config(tmp_path, csv_out=str(linked))))
+            args, source = ["--config", str(path)], "--config"
+        if link == "symlink":
+            linked.symlink_to(path)
+        else:
+            os.link(path, linked)
+        document = path.read_text()
+        assert main([verb, *args]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {key} and {source} name the same file")
+        assert path.read_text() == document
 
     def test_validate_does_not_allocate_the_samples(self, tmp_path, capsys):
         # 1e15 samples could never be stored, but validating the grid needs only the step count

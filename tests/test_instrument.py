@@ -16,7 +16,7 @@ from cavityprobe.instrument import (
 )
 from cavityprobe.metrics import PositivityError, metrics_series
 from cavityprobe.oracle import extract_instrument_oracle, secular_residual
-from cavityprobe.superop import apply_superop, choi_matrix, sandwich_superop, unvec, vec
+from cavityprobe.superop import apply_superop, choi_matrix, _sandwich_superop, unvec, vec
 from cavityprobe.fock import annihilation_op, quadratic_ops
 
 STRONG = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
@@ -111,13 +111,13 @@ class TestBlockGenerator:
         n_op, aad_op = quadratic_ops(d, mode)
         ident = np.eye(d * d)
         rate = p.field_rate
-        number = sandwich_superop(n_op, np.eye(d)) - sandwich_superop(np.eye(d), n_op)
-        g_gg = -(rate * 0.5 * (sandwich_superop(n_op, np.eye(d)) + sandwich_superop(np.eye(d), n_op))
+        number = _sandwich_superop(n_op, np.eye(d)) - _sandwich_superop(np.eye(d), n_op)
+        g_gg = -(rate * 0.5 * (_sandwich_superop(n_op, np.eye(d)) + _sandwich_superop(np.eye(d), n_op))
                  - 1j * p.kappa * p.delta * number + p.gamma_ge * ident)
-        g_ee = -(rate * 0.5 * (sandwich_superop(aad_op, np.eye(d)) + sandwich_superop(np.eye(d), aad_op))
+        g_ee = -(rate * 0.5 * (_sandwich_superop(aad_op, np.eye(d)) + _sandwich_superop(np.eye(d), aad_op))
                  + 1j * p.kappa * p.delta * number + p.gamma_eg * ident)
-        g_ge = rate * sandwich_superop(a.conj().T, a) + p.gamma_eg * ident
-        g_eg = rate * sandwich_superop(a, a.conj().T) + p.gamma_ge * ident
+        g_ge = rate * _sandwich_superop(a.conj().T, a) + p.gamma_eg * ident
+        g_eg = rate * _sandwich_superop(a, a.conj().T) + p.gamma_ge * ident
         expected = np.block([[g_gg, g_ge], [g_eg, g_ee]])
         assert np.max(np.abs(_dense(build_block_generator(p, d, mode)) - expected)) < 1e-15
 
@@ -528,7 +528,7 @@ class TestConditionalState:
 
     def test_jump_map_on_one_photon(self):
         a = annihilation_op(2)
-        rec = self.record(sandwich_superop(a, a.conj().T), fock_state(2, 1))
+        rec = self.record(_sandwich_superop(a, a.conj().T), fock_state(2, 1))
         assert rec.p_g == pytest.approx(1.0, abs=1e-15)
         assert rec.s_g == pytest.approx(0.0, abs=1e-15)
         # the state moved to |0><0|, orthogonal to the input |1><1|

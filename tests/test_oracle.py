@@ -5,7 +5,15 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from cavityprobe.fock import fock_state, maximally_mixed
-from cavityprobe.instrument import DivergenceError, ModelParams, Preparation, integrate_instrument
+from cavityprobe.cli import PRESETS
+from cavityprobe.instrument import (
+    DivergenceError,
+    ModelParams,
+    Preparation,
+    _rk4_sampled,
+    _sample_steps,
+    integrate_instrument,
+)
 from cavityprobe.oracle import (
     dt_limit,
     extract_instrument_oracle,
@@ -13,8 +21,9 @@ from cavityprobe.oracle import (
     joint_liouvillian,
     _pure_dephasing_rate,
     secular_residual,
+    _units,
 )
-from cavityprobe.superop import apply_superop, sandwich_superop, unvec, vec
+from cavityprobe.superop import apply_superop, _sandwich_superop, unvec, vec
 
 STRONG = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
 
@@ -59,20 +68,25 @@ def textbook_liouvillian(p, d, h):
         (np.diag([-1.0, 1.0]), 0.5 * (p.gamma_big - 0.5 * (p.gamma_ge + p.gamma_eg))),
     ]
     eye = np.eye(2 * d, dtype=complex)
-    lv = -1j * (sandwich_superop(h, eye) - sandwich_superop(eye, h))
+    lv = -1j * (_sandwich_superop(h, eye) - _sandwich_superop(eye, h))
     for atom_op, rate in channels:
         op = np.kron(atom_op, np.eye(d)).astype(complex)
         opd_op = op.conj().T @ op
         lv += rate * (
-            sandwich_superop(op, op.conj().T)
-            - 0.5 * sandwich_superop(opd_op, eye)
-            - 0.5 * sandwich_superop(eye, opd_op)
+            _sandwich_superop(op, op.conj().T)
+            - 0.5 * _sandwich_superop(opd_op, eye)
+            - 0.5 * _sandwich_superop(eye, opd_op)
         )
     return lv
 
 
+def frame_hamiltonian(p, d):
+    """joint_hamiltonian(p, d, 0) + delta |e><e|, the constant Hamiltonian of the atom frame."""
+    return joint_hamiltonian(p, d, 0.0) + p.delta * np.kron(np.diag([0.0, 1.0]), np.eye(d))
+
+
 def frame_generator(p, d):
-    """The constant generator extract_instrument_oracle hands to the RK4 kernel."""
+    """The constant generator extract_instrument_oracle hands to the RK4 kernel: its (d, 4d, 4d) block stack."""
 
     class Captured(Exception):
         pass
@@ -85,7 +99,10 @@ def frame_generator(p, d):
     return caught.value.args[0]
 
 
-RATES = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+# A subnormal rate holds too few digits for a comparison at 1e-13 of the largest entry: at
+# gamma_big = 2.2e-311 alone, the K form leaves one subnormal step, 5e-324 (2e-13 of it), where
+# the commutator form's terms cancel to 0.
+RATES = st.one_of(st.just(0.0), st.floats(0.0, 3.0, allow_subnormal=False))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -94,17 +111,63 @@ RATES = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
 @example(2, 0.7, 0.5, 0.0, 0.1, 1.0, 0.3)  # gamma_big at its floor: no dephasing channel
 @example(2, 0.7, 0.5, 0.0, 0.0, 0.0, 0.3)  # no dissipation at all
 def test_effective_hamiltonian_form_matches_textbook_form(d, omega, delta, above_floor, gamma_ge, gamma_eg, t):
-    """joint_liouvillian and the frame generator, built through K = -iH - sum rate J^dagger J / 2,
-    against the commutator plus the Lindblad dissipator of every channel."""
+    """joint_liouvillian and the frame generator's blocks, built through K = -iH - sum rate J^dagger J / 2,
+    against the commutator plus the Lindblad dissipator of every channel.  The blocks partition the
+    (2d)^2 joint units, and the textbook generator links no two of them."""
     try:
         p = ModelParams(omega=omega, delta=delta, gamma_big=0.5 * (gamma_ge + gamma_eg) + above_floor,
                         gamma_ge=gamma_ge, gamma_eg=gamma_eg)
     except ValueError:  # kappa's denominator gamma_big**2 + delta**2 underflows to 0
         reject()
-    frame_h = joint_hamiltonian(p, d, 0.0) + delta * np.kron(np.diag([0.0, 1.0]), np.eye(d))
-    for built, h in ((joint_liouvillian(p, d, t), joint_hamiltonian(p, d, t)), (frame_generator(p, d), frame_h)):
-        reference = textbook_liouvillian(p, d, h)
-        assert np.max(np.abs(built - reference)) <= 1e-13 * np.max(np.abs(reference))
+    reference = textbook_liouvillian(p, d, joint_hamiltonian(p, d, t))
+    assert np.max(np.abs(joint_liouvillian(p, d, t) - reference)) <= 1e-13 * np.max(np.abs(reference))
+    blocks, units = frame_generator(p, d), _units(d)
+    reference = textbook_liouvillian(p, d, frame_hamiltonian(p, d))
+    assert blocks.shape == (d, 4 * d, 4 * d)
+    assert np.array_equal(np.sort(units, axis=None), np.arange(4 * d * d))
+    for block, unit in zip(blocks, units):
+        assert np.max(np.abs(block - reference[np.ix_(unit, unit)])) <= 1e-13 * np.max(np.abs(reference))
+    block_of = np.empty(4 * d * d, dtype=int)
+    block_of[units] = np.arange(d)[:, None]
+    assert np.all(reference[block_of[:, None] != block_of] == 0.0)
+
+
+def dense_oracle(p, d, prep, t_max, dt, stride):
+    """(times, m_g, m_e) from the textbook generator of the frame Hamiltonian, run through
+    the RK4 kernel as one dense matrix on d^2 columns, one per field matrix unit."""
+    positions = unvec(np.arange(4 * d * d))  # positions[i, j]: where <i|rho|j> sits in vec(rho)
+    g_rows, e_rows = vec(positions[:d, :d]), vec(positions[d:, d:])
+    columns = np.zeros((4 * d * d, d * d), dtype=complex)
+    columns[g_rows if prep is Preparation.GROUND else e_rows, np.arange(d * d)] = 1.0
+    grid = _sample_steps(d, t_max, dt, stride)
+    times, samples = _rk4_sampled(textbook_liouvillian(p, d, frame_hamiltonian(p, d)), columns, dt, grid)
+    return times, samples[:, g_rows], samples[:, e_rows]
+
+
+def assert_matches_dense_oracle(p, d, prep, t_max, dt, stride):
+    branch = extract_instrument_oracle(p, d, prep, t_max, dt, stride)
+    times, m_g, m_e = dense_oracle(p, d, prep, t_max, dt, stride)
+    assert np.array_equal(branch.times, times)
+    assert np.max(np.abs(branch.m_g - m_g)) <= 1e-13
+    assert np.max(np.abs(branch.m_e - m_e)) <= 1e-13
+
+
+@pytest.mark.parametrize("prep", Preparation)
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("d", range(1, 7))
+def test_block_oracle_matches_dense_oracle_on_presets(d, preset, prep):
+    assert_matches_dense_oracle(ModelParams(**PRESETS[preset]), d, prep, 1.0, 0.005, 20)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.sampled_from(Preparation), RATES, st.floats(-5.0, 5.0), RATES, RATES, RATES)
+def test_block_oracle_matches_dense_oracle_on_drawn_rates(d, prep, omega, delta, above_floor, gamma_ge, gamma_eg):
+    try:
+        p = ModelParams(omega=omega, delta=delta, gamma_big=0.5 * (gamma_ge + gamma_eg) + above_floor,
+                        gamma_ge=gamma_ge, gamma_eg=gamma_eg)
+    except ValueError:  # kappa's denominator gamma_big**2 + delta**2 underflows to 0
+        reject()
+    assert_matches_dense_oracle(p, d, prep, 100 * dt_limit(p), dt_limit(p), 25)
 
 
 def test_liouvillian_is_trace_free():
@@ -208,7 +271,8 @@ def test_dt_limit_enforced():
 def test_trace_drift_names_the_first_sample_that_drifts(monkeypatch):
     """A generator that only damps, at rate r, drifts by 1 - exp(-r t): past 1e-9 first at t = 0.46 here."""
     rate = 1e-9 / 0.455
-    monkeypatch.setattr("cavityprobe.oracle._liouvillian", lambda p, d, h: -rate * np.eye(4 * d * d, dtype=complex))
+    monkeypatch.setattr("cavityprobe.oracle._liouvillian",
+                        lambda p, d, h, units: np.broadcast_to(-rate * np.eye(4 * d, dtype=complex), (d, 4 * d, 4 * d)))
     with pytest.raises(DivergenceError, match=r"at t=0\.46: trace drifted by 1\.01\de-09") as info:
         extract_instrument_oracle(STRONG, 2, Preparation.GROUND, 1.0, 0.005, stride=2)
     assert info.value.t == pytest.approx(0.46)

@@ -21,7 +21,7 @@ def test_package_exports_exactly_the_modules_all():
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == {name for module in (fock, instrument, metrics, oracle, superop) for name in module.__all__}
     assert "dt_limit" in exported
-    assert not exported & {"superop_dim", "pure_dephasing_rate", "P_FLOOR"}
+    assert not exported & {"superop_dim", "pure_dephasing_rate", "P_FLOOR", "sandwich_superop"}
 
 
 def test_readme_library_example_runs(tmp_path):

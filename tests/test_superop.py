@@ -5,7 +5,7 @@ from cavityprobe.fock import TruncationMode, annihilation_op, fock_state, maxima
 from cavityprobe.superop import (
     apply_superop,
     choi_matrix,
-    sandwich_superop,
+    _sandwich_superop,
     _superop_dim,
     unvec,
     vec,
@@ -47,22 +47,22 @@ def test_unvec_of_a_stack_is_the_stack_of_unvecs():
 
 def test_identity_sandwich_is_identity_matrix():
     eye = np.eye(2, dtype=complex)
-    assert np.array_equal(sandwich_superop(eye, eye), np.eye(4))
+    assert np.array_equal(_sandwich_superop(eye, eye), np.eye(4))
 
 
 def test_sandwich_ladder_actions_d2():
     a = annihilation_op(2)
     adag = a.conj().T
     one = fock_state(2, 1)
-    down = apply_superop(sandwich_superop(a, adag), one)
+    down = apply_superop(_sandwich_superop(a, adag), one)
     assert np.allclose(down, fock_state(2, 0), atol=1e-15)
-    up = apply_superop(sandwich_superop(adag, a), one)
+    up = apply_superop(_sandwich_superop(adag, a), one)
     assert np.allclose(up, np.zeros((2, 2)), atol=1e-15)
 
 
 def test_sandwich_dimension_mismatch():
     with pytest.raises(ValueError):
-        sandwich_superop(np.eye(2), np.eye(3))
+        _sandwich_superop(np.eye(2), np.eye(3))
     with pytest.raises(ValueError):
         apply_superop(np.eye(4), np.eye(3))
 
@@ -76,7 +76,7 @@ def test_apply_identity_and_zero():
 
 def test_apply_sandwich_on_mixed_state():
     a = annihilation_op(2)
-    result = apply_superop(sandwich_superop(a, a.conj().T), maximally_mixed(2))
+    result = apply_superop(_sandwich_superop(a, a.conj().T), maximally_mixed(2))
     assert np.allclose(result, 0.5 * fock_state(2, 0), atol=1e-16)
 
 
@@ -86,7 +86,7 @@ def test_sandwich_representation_faithful(d):
     for _ in range(5):
         a, b, x = (rand_matrix(rng, d) for _ in range(3))
         direct = a @ x @ b
-        via_superop = apply_superop(sandwich_superop(a, b), x)
+        via_superop = apply_superop(_sandwich_superop(a, b), x)
         assert np.max(np.abs(direct - via_superop)) < 1e-12
 
 
@@ -106,9 +106,9 @@ def ladder_superops(d):
     a = annihilation_op(d)
     n_op, aad_op = quadratic_ops(d, TruncationMode.ALGEBRAIC_CLOSURE)
     eye = np.eye(d, dtype=complex)
-    k0 = 0.5 * (sandwich_superop(n_op, eye) + sandwich_superop(eye, aad_op))
-    n_comm = sandwich_superop(n_op, eye) - sandwich_superop(eye, n_op)
-    return k0, sandwich_superop(a.conj().T, a), sandwich_superop(a, a.conj().T), n_comm
+    k0 = 0.5 * (_sandwich_superop(n_op, eye) + _sandwich_superop(eye, aad_op))
+    n_comm = _sandwich_superop(n_op, eye) - _sandwich_superop(eye, n_op)
+    return k0, _sandwich_superop(a.conj().T, a), _sandwich_superop(a, a.conj().T), n_comm
 
 
 def test_su11_pointwise_actions():
@@ -131,7 +131,7 @@ def test_su11_commutation_on_interior_support(d):
     k0, kplus, kminus, _ = ladder_superops(d)
     n_op, _ = quadratic_ops(d)
     eye = np.eye(d, dtype=complex)
-    k0_prime = 0.5 * (sandwich_superop(n_op, eye) + sandwich_superop(eye, n_op)) + 0.5 * np.eye(d * d)
+    k0_prime = 0.5 * (_sandwich_superop(n_op, eye) + _sandwich_superop(eye, n_op)) + 0.5 * np.eye(d * d)
 
     rng = np.random.default_rng(d * 11)
     x = np.zeros((d, d), dtype=complex)
@@ -165,7 +165,7 @@ def test_choi_of_identity_map():
 
 def test_choi_of_single_kraus_map_is_rank_one_psd():
     a = annihilation_op(2)
-    c = choi_matrix(sandwich_superop(a, a.conj().T))
+    c = choi_matrix(_sandwich_superop(a, a.conj().T))
     eigs = np.sort(np.linalg.eigvalsh(0.5 * (c + c.conj().T)))
     assert eigs[0] > -1e-12
     assert np.sum(eigs > 1e-12) == 1
@@ -191,7 +191,7 @@ def test_choi_of_kraus_sums_and_compositions_psd(d):
         s = np.zeros((d * d, d * d), dtype=complex)
         for _ in range(3):
             kraus = rand_matrix(rng, d)
-            s += sandwich_superop(kraus, kraus.conj().T)
+            s += _sandwich_superop(kraus, kraus.conj().T)
         maps.append(s)
     for s in (maps[0], maps[1], maps[1] @ maps[0]):
         low = np.linalg.eigvalsh(choi_matrix(s)).min()
