@@ -29,21 +29,23 @@ class PositivityError(RuntimeError):
 
 
 def _checked_eig(rho: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """(eigenvalues, eigenvectors or None) of a Hermitian PSD matrix, or a (..., d, d) stack, with tolerance policy.
+    """(eigenvalues through _clamped, eigenvectors or None) of a Hermitian PSD matrix, or a (..., d, d) stack.
 
-    Negative eigenvalues down to -1e-8 are round-off and are clamped to zero;
-    anything below -1e-8, or a non-finite entry (checked first: eigvalsh can
-    map a nan to a finite spectrum), is treated as a bug in the caller.
-    """
+    A non-finite entry is an error, checked first: eigvalsh can map a nan to a finite spectrum."""
     rho = np.asarray(rho)
     if not np.isfinite(rho).all():
         raise InvalidStateError("matrix has a non-finite entry")
     hermitian = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
     vals, vecs = np.linalg.eigh(hermitian) if vectors else (np.linalg.eigvalsh(hermitian), None)
+    return _clamped(vals), vecs
+
+
+def _clamped(vals: np.ndarray) -> np.ndarray:
+    """Spectra with round-off negatives down to -1e-8 set to zero; anything lower is a bug in the caller."""
     low = vals.min(initial=np.inf)
     if not low >= -1e-8:
         raise InvalidStateError(f"matrix has eigenvalue {low:.3e} below the error threshold")
-    return np.clip(vals, 0.0, None), vecs
+    return np.clip(vals, 0.0, None)
 
 
 def von_neumann_entropy(rho: np.ndarray, base: float = 2.0):
@@ -52,10 +54,20 @@ def von_neumann_entropy(rho: np.ndarray, base: float = 2.0):
     A (..., d, d) stack gives an array of shape (...).  base must be a real
     number, not a bool, that is finite, positive and not 1.
     """
+    base = _log_base(base)
+    return _entropy(_checked_eig(rho)[0], base)
+
+
+def _log_base(base) -> float:
+    """base as a float; ValueError unless it is a real number, not a bool, finite, positive and not 1."""
     base = _number("log base", base)
     if not (np.isfinite(base) and base > 0 and base != 1):
         raise ValueError(f"log base must be finite, positive and not 1, got {base!r}")
-    vals, _ = _checked_eig(rho)
+    return base
+
+
+def _entropy(vals: np.ndarray, base: float):
+    """-sum(lam log lam) over the last axis of clamped spectra."""
     vals = np.clip(vals, 0.0, 1.0)
     logs = np.log(vals, out=np.zeros_like(vals), where=vals > 0.0)
     entropy = -np.sum(vals * logs, axis=-1) / np.log(base)
@@ -79,14 +91,15 @@ def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray):
     if rho.shape[-2:] != sigma.shape[-2:]:
         raise ValueError(f"shape mismatch {rho.shape} vs {sigma.shape}")
     _checked_eig(sigma)
-    return _fidelity(sqrtm_psd(rho), sigma)
+    root = sqrtm_psd(rho)
+    return _root_sum(_checked_eig(root @ sigma @ root)[0])
 
 
-def _fidelity(root: np.ndarray, sigma: np.ndarray):
-    """Fidelity Tr sqrt(root sigma root) from root = sqrt(rho) and a sigma that _checked_eig has accepted."""
-    vals, _ = _checked_eig(root @ sigma @ root)
-    # Rank-deficient inputs leave eps-level junk in the spectrum that the
-    # square root would amplify to ~1e-8; drop it before rooting.
+def _root_sum(vals: np.ndarray):
+    """Fidelity sum(sqrt(lam)) from the clamped spectra of root sigma root, capped at one.
+
+    Values below 1e-12 * max are dropped first: the root would amplify the eps-level junk of rank-deficient
+    inputs to ~1e-8.  True small values go too, so the sum can be low by up to about d * 1e-6 * sqrt(max)."""
     vals[vals < vals.max(axis=-1, keepdims=True) * 1e-12] = 0.0
     fid = np.sum(np.sqrt(vals), axis=-1)
     high = fid.max(initial=0.0)
@@ -94,6 +107,12 @@ def _fidelity(root: np.ndarray, sigma: np.ndarray):
         raise InvalidStateError(f"fidelity {high} exceeds one beyond tolerance")
     fid = np.minimum(fid, 1.0)
     return fid if fid.ndim else float(fid)
+
+
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of each (d, d) matrix of a stack, as (..., d - 1, d); a view if a is C-ordered."""
+    lead, d = a.shape[:-2], a.shape[-1]
+    return a.reshape(*lead, d * d)[..., 1:].reshape(*lead, d - 1, d + 1)[..., :d]
 
 
 class MetricsRecord(NamedTuple):
@@ -126,6 +145,7 @@ def metrics_series(
     y_g and y_e are the unnormalized conditional states M_g(t) rho_f and
     M_e(t) rho_f at `times`, as returned by conditional_trajectories.
     """
+    base = _log_base(base)
     rho_f = np.asarray(rho_f, dtype=complex)
     check_density_matrix(rho_f)
     # C order first, so the rounding of every later step does not depend on the inputs' strides.
@@ -143,13 +163,20 @@ def metrics_series(
     p = np.where(p < 0.0, 0.0, p)
     # Outcomes at or below the floor stay undefined rather than amplifying noise by normalizing.
     defined = p > _P_FLOOR
-    y = y[defined]
-    states = 0.5 * (y + y.conj().swapaxes(-1, -2)) / p[defined][:, None, None]
-    entropy = von_neumann_entropy(states, base)  # also the PSD check of states that _fidelity relies on
+    if np.any(_off_diagonal(y)) or np.any(_off_diagonal(rho_f)):
+        y = y[defined]
+        states = 0.5 * (y + y.conj().swapaxes(-1, -2)) / p[defined][:, None, None]
+        vals, _ = _checked_eig(states)  # also the PSD check of the states that the products rely on
+        initial, _ = _checked_eig(rho_f)
+        root = sqrtm_psd(rho_f)
+        products, _ = _checked_eig(root @ states @ root)
+    else:  # no coherence (every Fock or mixed input): each spectrum is a diagonal, sorted as eigvalsh sorts it
+        r, s = _clamped(np.diagonal(rho_f).real), _clamped(y.diagonal(0, -2, -1)[defined].real / p[defined][:, None])
+        vals, initial, products = np.sort(s), np.sort(r), np.sort(r * s)
+    entropy = _entropy(vals, base)
     # Each cell list holds a (T, 2) column transposed: its g and then its e values.
     cells = {"p": p.T.tolist(), "defined": defined.T.tolist()}
-    for name, values in (("s", entropy), ("i", von_neumann_entropy(rho_f, base) - entropy),
-                         ("f", _fidelity(sqrtm_psd(rho_f), states))):
+    for name, values in (("s", entropy), ("i", _entropy(initial, base) - entropy), ("f", _root_sum(products))):
         column = np.full(p.shape, None, dtype=object)
         column[defined] = values
         cells[name] = column.T.tolist()

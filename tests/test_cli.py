@@ -373,12 +373,12 @@ class TestSweep:
 
     # sha256 of each file that `sweep --preset strong --t-max 1.0` writes.
     STRONG_SWEEP_DIGESTS = {
-        "strong-fock-n1.csv": "d86f34f6cf1e51c39caf77c14631cd11fd3a279fb65010a6de6ad9cac934bac3",
-        "strong-fock-n3.csv": "881e735a39d3de01cb8c51947644d0b061263b293a0e6e813f38851e4821ec02",
-        "strong-fock-n5.csv": "a1a6a281004112fd5e52d1acfd888d0013c2e4b793f3235b0e011eb39cf5e841",
-        "strong-mixed-d2.csv": "0f027aff5baa731075f6e14f757b7e81acb16aa810ab7f5982610b974975c85d",
-        "strong-mixed-d4.csv": "15e68e8a706c28dd3f5ceb525ed34b5030c8f2bcfb1613d2f780ab2f1ccd5c4e",
-        "strong-mixed-d6.csv": "a35efe0883337b5f9caf17b48e6b203cd8bf76e45bbdd8e32f4bdaa81b212d95",
+        "strong-fock-n1.csv": "62fea4ba8c7879b2f7025249ec3b3a83c95301ce59a71e3ee8b6fd9011ce2581",
+        "strong-fock-n3.csv": "2a5c43d7508aaa939ea88c143036f6d1928ea35315aea5b8cbe18fbd63ed0f82",
+        "strong-fock-n5.csv": "af5a6c727e373c748ca4e1a84fc76e70c8e91acb76b370df67bcf52941a8941f",
+        "strong-mixed-d2.csv": "e6be3bff050a351601b4fa1836585ea8c4aab90e621d1bdd074f1e9d884b2dc0",
+        "strong-mixed-d4.csv": "8ee7f8520e8758f9c74f85e4595c27da767fb9b93e530fdb7ada022dc744266a",
+        "strong-mixed-d6.csv": "f338904754fec4ee195f605ff1cfd4445c6342b99598a115ea5dfbcefae3d5e0",
         "strong-fock-n1.svg": "320a40d68897f54c2b7acc92baa35152b0468a69dfd533e5b301ca9e12d27b10",
         "strong-fock-n3.svg": "1fa4b2e70cae508ef3f767d574f53582a7faabd99a2c3392a6ab09585c10265a",
         "strong-fock-n5.svg": "563188aa125c062bb7441a15f37c5c546e511040af79f34468b08634d126c325",

@@ -203,10 +203,9 @@ class TestMetricsSeries:
         assert metrics_series(times, time_innermost(y_g), time_innermost(y_e), rho) == \
             metrics_series(times, y_g, y_e, rho)
 
-    def test_each_conditional_state_is_decomposed_twice(self, monkeypatch):
-        """Entropy and fidelity need one eigendecomposition of each state and one of
-        root @ state @ root; the states' PSD check rides on the first.  Only the
-        square root of rho_f needs eigenvectors."""
+    @staticmethod
+    def count_decompositions(monkeypatch):
+        """Lists that record the stack size of each _checked_eig call, without and with eigenvectors."""
         import cavityprobe.metrics as metrics
 
         decomposed = []
@@ -219,9 +218,37 @@ class TestMetricsSeries:
             return checked_eig(rho, vectors)
 
         monkeypatch.setattr(metrics, "_checked_eig", counting)
-        rho = maximally_mixed(3)
+        return decomposed, with_vectors
+
+    def test_each_conditional_state_is_decomposed_twice(self, monkeypatch):
+        """For a state with coherences, entropy and fidelity need one eigendecomposition
+        of each state and one of root @ state @ root; the states' PSD check rides on the
+        first.  Only the square root of rho_f needs eigenvectors."""
+        decomposed, with_vectors = self.count_decompositions(monkeypatch)
+        rho = rand_density(np.random.default_rng(64), 3)
         records = metrics_series(*conditional_trajectories(STRONG, 3, Preparation.GROUND, rho, 2.0, 0.01, stride=20), rho)
         states = sum(rec.defined_g + rec.defined_e for rec in records)
         # plus one decomposition of rho_f for its entropy and one for its square root
         assert sum(decomposed) + sum(with_vectors) == 2 * states + 2
         assert with_vectors == [1]
+
+    @pytest.mark.parametrize("d, rho", [(3, maximally_mixed(3)), (20, fock_state(20, 2))], ids=["mixed-d3", "fock2-d20"])
+    def test_diagonal_states_are_never_decomposed(self, monkeypatch, d, rho):
+        """A state without coherences keeps none, so its spectra are read from its diagonals."""
+        decomposed, with_vectors = self.count_decompositions(monkeypatch)
+        records = metrics_series(*conditional_trajectories(STRONG, d, Preparation.GROUND, rho, 2.0, 0.01, stride=20), rho)
+        assert any(rec.defined_g for rec in records) and any(rec.defined_e for rec in records)
+        assert decomposed == [] and with_vectors == []
+
+    def test_diagonal_path_rejects_negative_populations_as_the_dense_path_does(self, monkeypatch):
+        """A population below -1e-8 p gives the dense path's eigenvalue message, with no decomposition."""
+        y_g = np.diag([0.5 + 1e-6, -1e-6, 0.0]).astype(complex)[None]  # p_g = 0.5, so the state has -2e-6
+        y_e = np.zeros_like(y_g)
+        coherent = maximally_mixed(3) + 0.1 * (np.eye(3, k=1) + np.eye(3, k=-1))
+        with pytest.raises(InvalidStateError, match="eigenvalue -2.000e-06 below") as dense:
+            metrics_series([0.0], y_g, y_e, coherent)
+        decomposed, with_vectors = self.count_decompositions(monkeypatch)
+        with pytest.raises(InvalidStateError) as diagonal:
+            metrics_series([0.0], y_g, y_e, maximally_mixed(3))
+        assert str(diagonal.value) == str(dense.value)
+        assert decomposed == [] and with_vectors == []

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavityprobe.fock import TruncationMode
+from cavityprobe.fock import TruncationMode, fock_state, maximally_mixed
 from cavityprobe.instrument import ModelParams, Preparation, conditional_trajectories, integrate_instrument
 from cavityprobe.metrics import _P_FLOOR, metrics_series, uhlmann_fidelity, von_neumann_entropy
 from cavityprobe.superop import apply_superop, choi_matrix, vec
@@ -93,6 +93,22 @@ def density_matrices(draw, d):
     return rho / np.trace(rho).real
 
 
+@st.composite
+def random_populations(draw, d):
+    """A diagonal density matrix with random populations, some of them exactly zero."""
+    occupied = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    occupied[draw(st.integers(0, d - 1))] = True
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = np.where(occupied, rng.uniform(0.01, 1.0, size=d), 0.0)
+    return np.diag(weights / weights.sum()).astype(complex)
+
+
+def diagonal_states(d):
+    """Density matrices without coherences: random populations, Fock states and the maximally mixed state."""
+    return st.one_of(random_populations(d), st.integers(0, d - 1).map(lambda n: fock_state(d, n)),
+                     st.just(maximally_mixed(d)))
+
+
 def reference_metrics(branch, rho, base=2.0):
     """Per-sample metrics from the full maps, one scalar call per sample and outcome."""
     s_initial = von_neumann_entropy(rho, base)
@@ -114,13 +130,14 @@ def reference_metrics(branch, rho, base=2.0):
     return rows
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(stable_params(), st.sampled_from(Preparation), st.data())
-def test_batched_metrics_match_per_sample_reference(p, prep, data):
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(stable_params(), st.sampled_from(Preparation), st.sampled_from([2.0, np.e]), st.data())
+def test_batched_metrics_match_per_sample_reference(p, prep, base, data):
+    """Diagonal inputs take metrics_series' closed forms; the reference decomposes every state."""
     d = data.draw(st.integers(1, 4))
-    rho = data.draw(density_matrices(d))
-    records = metrics_series(*conditional_trajectories(p, d, prep, rho, T_MAX, DT, stride=STRIDE), rho)
-    reference = reference_metrics(integrate_instrument(p, d, prep, T_MAX, DT, stride=STRIDE), rho)
+    rho = data.draw(st.one_of(density_matrices(d), diagonal_states(d)))
+    records = metrics_series(*conditional_trajectories(p, d, prep, rho, T_MAX, DT, stride=STRIDE), rho, base)
+    reference = reference_metrics(integrate_instrument(p, d, prep, T_MAX, DT, stride=STRIDE), rho, base)
     assert len(records) == len(reference)
     for rec, ref in zip(records, reference):
         for name, expected in ref.items():
