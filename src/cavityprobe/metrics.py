@@ -148,13 +148,18 @@ def metrics_series(
     base = _log_base(base)
     rho_f = np.asarray(rho_f, dtype=complex)
     check_density_matrix(rho_f)
-    # C order first, so the rounding of every later step does not depend on the inputs' strides.
-    y = np.ascontiguousarray(np.stack([y_g, y_e], axis=1))
-    if y.shape != (len(times), 2, *rho_f.shape):
-        raise ValueError(f"y_g and y_e must have shape {(len(times), *rho_f.shape)}, got {np.shape(y_g)}")
+    y_g, y_e, shape = np.asarray(y_g), np.asarray(y_e), (len(times), *rho_f.shape)
+    if y_g.shape != shape or y_e.shape != shape:
+        raise ValueError(f"y_g and y_e must have shape {shape}, got {y_g.shape}")
+    # Without coherence (every Fock or mixed input) only the (T, 2, d) diagonals are read; a nan is nonzero, so
+    # a non-finite off-diagonal entry takes the dense path.  C order first, so the rounding of every later step
+    # does not depend on the inputs' strides, and the diagonals' sums then reduce as np.trace does.
+    dense = any(np.any(_off_diagonal(a)) for a in (rho_f, y_g, y_e))
+    pair = (y_g, y_e) if dense else (y_g.diagonal(0, -2, -1), y_e.diagonal(0, -2, -1))
+    y = np.ascontiguousarray(np.stack(pair, axis=1))
     if not np.isfinite(y).all():  # a nan trace would otherwise pass as an undefined outcome
         raise InvalidStateError("conditional states have a non-finite entry")
-    p = np.trace(y, axis1=-2, axis2=-1)
+    p = np.trace(y, axis1=-2, axis2=-1) if dense else y.sum(axis=-1)
     if np.any(np.abs(p.imag) >= 1e-10):
         raise PositivityError(f"outcome probability has imaginary part {np.abs(p.imag).max():.3e}")
     p = p.real
@@ -163,7 +168,7 @@ def metrics_series(
     p = np.where(p < 0.0, 0.0, p)
     # Outcomes at or below the floor stay undefined rather than amplifying noise by normalizing.
     defined = p > _P_FLOOR
-    if np.any(_off_diagonal(y)) or np.any(_off_diagonal(rho_f)):
+    if dense:
         y = y[defined]
         states = 0.5 * (y + y.conj().swapaxes(-1, -2)) / p[defined][:, None, None]
         vals, _ = _checked_eig(states)  # also the PSD check of the states that the products rely on
@@ -171,7 +176,7 @@ def metrics_series(
         root = sqrtm_psd(rho_f)
         products, _ = _checked_eig(root @ states @ root)
     else:  # no coherence (every Fock or mixed input): each spectrum is a diagonal, sorted as eigvalsh sorts it
-        r, s = _clamped(np.diagonal(rho_f).real), _clamped(y.diagonal(0, -2, -1)[defined].real / p[defined][:, None])
+        r, s = _clamped(np.diagonal(rho_f).real), _clamped(y[defined].real / p[defined][:, None])
         vals, initial, products = np.sort(s), np.sort(r), np.sort(r * s)
     entropy = _entropy(vals, base)
     # Each cell list holds a (T, 2) column transposed: its g and then its e values.

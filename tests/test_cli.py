@@ -373,12 +373,12 @@ class TestSweep:
 
     # sha256 of each file that `sweep --preset strong --t-max 1.0` writes.
     STRONG_SWEEP_DIGESTS = {
-        "strong-fock-n1.csv": "62fea4ba8c7879b2f7025249ec3b3a83c95301ce59a71e3ee8b6fd9011ce2581",
-        "strong-fock-n3.csv": "2a5c43d7508aaa939ea88c143036f6d1928ea35315aea5b8cbe18fbd63ed0f82",
-        "strong-fock-n5.csv": "af5a6c727e373c748ca4e1a84fc76e70c8e91acb76b370df67bcf52941a8941f",
-        "strong-mixed-d2.csv": "e6be3bff050a351601b4fa1836585ea8c4aab90e621d1bdd074f1e9d884b2dc0",
-        "strong-mixed-d4.csv": "8ee7f8520e8758f9c74f85e4595c27da767fb9b93e530fdb7ada022dc744266a",
-        "strong-mixed-d6.csv": "f338904754fec4ee195f605ff1cfd4445c6342b99598a115ea5dfbcefae3d5e0",
+        "strong-fock-n1.csv": "f6de8f19fc55ad05f2cbe0c0267003d929467e71ee2d13cc326ff5f37d371975",
+        "strong-fock-n3.csv": "5922d08e45e9e623370f590801eb547b0fe0e5e453b132ec1331f8888612af15",
+        "strong-fock-n5.csv": "e1b732756ab1d03b3e97f249c1d863df634bf4957855c76146a590b8bcd12eb3",
+        "strong-mixed-d2.csv": "36fc55ff3971a72521009193df4c9df3f7df344cc698f7787e173b494c02b258",
+        "strong-mixed-d4.csv": "2be47c01832ed0eb060633fd2bbbb9b431c0e5792f2300004640669e2e077647",
+        "strong-mixed-d6.csv": "1c24bf6d6d4e015e227e4799662962fa7216056013713b8563a5f7bbc459fff9",
         "strong-fock-n1.svg": "320a40d68897f54c2b7acc92baa35152b0468a69dfd533e5b301ca9e12d27b10",
         "strong-fock-n3.svg": "1fa4b2e70cae508ef3f767d574f53582a7faabd99a2c3392a6ab09585c10265a",
         "strong-fock-n5.svg": "563188aa125c062bb7441a15f37c5c546e511040af79f34468b08634d126c325",

@@ -285,6 +285,52 @@ class TestIntegration:
         integrate_instrument(STRONG, d, Preparation.GROUND, 0.1, 0.01)
         assert sizes == [d]
 
+    @pytest.fixture
+    def kernel_dtypes(self, monkeypatch):
+        """The dtype of the samples of each kernel call, from the reduced model and the oracle alike."""
+        dtypes = []
+
+        def recording(*args):
+            times, samples = rk4_sampled(*args)
+            dtypes.append(samples.dtype)
+            return times, samples
+
+        rk4_sampled = instrument._rk4_sampled
+        monkeypatch.setattr(instrument, "_rk4_sampled", recording)
+        monkeypatch.setattr("cavityprobe.oracle._rk4_sampled", recording)
+        return dtypes
+
+    def test_kernel_runs_real_exactly_when_its_inputs_are_real(self, kernel_dtypes):
+        """Diagonal states and resonant maps run in float64; coherences, a detuning and the oracle's -iH in complex128.
+
+        The public outputs are complex128 either way."""
+        d = 4
+        resonant = ModelParams(omega=0.7, delta=0.0, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
+        for rho, dtype in ((fock_state(d, 2), np.float64), (maximally_mixed(d), np.float64),
+                           (rand_density(np.random.default_rng(4), d), np.complex128)):
+            kernel_dtypes.clear()
+            _, y_g, y_e = conditional_trajectories(STRONG, d, Preparation.EXCITED, rho, 0.5, 0.01, stride=10)
+            assert kernel_dtypes == [dtype]
+            assert y_g.dtype == y_e.dtype == np.complex128
+        for p, dtype in ((STRONG, np.complex128), (resonant, np.float64)):
+            kernel_dtypes.clear()
+            branch = integrate_instrument(p, d, Preparation.GROUND, 0.5, 0.01, stride=10)
+            assert kernel_dtypes == [dtype]
+            assert branch.m_g.dtype == branch.m_e.dtype == np.complex128
+        kernel_dtypes.clear()
+        branch = extract_instrument_oracle(SLOW, 2, Preparation.GROUND, 0.1, 0.01, stride=5)
+        assert kernel_dtypes == [np.complex128]
+        assert branch.m_g.dtype == branch.m_e.dtype == np.complex128
+
+    def test_imaginary_diagonal_keeps_the_complex_path(self, kernel_dtypes):
+        """An imaginary part on the diagonal, within the density-matrix tolerance, is propagated, not dropped."""
+        rho = maximally_mixed(3)
+        rho[1, 1] += 1e-13j
+        _, y_g, _ = conditional_trajectories(STRONG, 3, Preparation.GROUND, rho, 0.5, 0.01, stride=10)
+        assert kernel_dtypes == [np.complex128]
+        assert y_g[0, 1, 1] == rho[1, 1]
+        assert np.all(y_g[1:, 1, 1].imag != 0.0)
+
     def test_final_step_always_sampled(self):
         branch = integrate_instrument(STRONG, 2, Preparation.GROUND, 0.25, 0.01, stride=10)
         assert branch.times[-1] == pytest.approx(0.25)
@@ -298,9 +344,12 @@ class TestIntegration:
         dt, stride, n_steps = 0.01, 7, 50
         for d in (1, 3):
             a = _dense(build_block_generator(STRONG, d, mode))
-            rho = rand_density(np.random.default_rng(d), d)
-            # columns: the identity map, then the state, on the prepared branch
-            field = np.column_stack([np.eye(d * d), vec(rho)])
+            rng = np.random.default_rng(d)
+            rho = rand_density(rng, d)
+            populations = rng.uniform(0.1, 1.0, size=d)
+            diagonal = np.diag(populations / populations.sum())  # real, so its run is in real arithmetic
+            # columns: the identity map, then the two states, on the prepared branch
+            field = np.column_stack([np.eye(d * d), vec(rho), vec(diagonal)])
             zero = np.zeros_like(field)
             y = np.concatenate((field, zero) if prep is Preparation.GROUND else (zero, field))
             expected = [y]
@@ -316,12 +365,13 @@ class TestIntegration:
             g, e = expected[:, : d * d], expected[:, d * d :]
             branch = integrate_instrument(STRONG, d, prep, n_steps * dt, dt, mode, stride)
             assert np.array_equal(branch.times, dt * np.array([0, 7, 14, 21, 28, 35, 42, 49, 50]))
-            assert np.max(np.abs(branch.m_g - g[..., :-1])) < 1e-13
-            assert np.max(np.abs(branch.m_e - e[..., :-1])) < 1e-13
-            times, y_g, y_e = conditional_trajectories(STRONG, d, prep, rho, n_steps * dt, dt, mode, stride)
-            assert np.array_equal(times, branch.times)
-            assert np.max(np.abs(y_g - unvec(g[..., -1]))) < 1e-13
-            assert np.max(np.abs(y_e - unvec(e[..., -1]))) < 1e-13
+            assert np.max(np.abs(branch.m_g - g[..., : d * d])) < 1e-13
+            assert np.max(np.abs(branch.m_e - e[..., : d * d])) < 1e-13
+            for column, state in ((d * d, rho), (d * d + 1, diagonal)):
+                times, y_g, y_e = conditional_trajectories(STRONG, d, prep, state, n_steps * dt, dt, mode, stride)
+                assert np.array_equal(times, branch.times)
+                assert np.max(np.abs(y_g - unvec(g[..., column]))) < 1e-13
+                assert np.max(np.abs(y_e - unvec(e[..., column]))) < 1e-13
 
     def test_divergence_raises_with_time(self):
         p = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)

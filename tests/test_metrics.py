@@ -171,6 +171,8 @@ class TestMetricsSeries:
         times, y_g, y_e = conditional_trajectories(STRONG, 2, Preparation.GROUND, rho, 0.1, 0.01)
         with pytest.raises(ValueError, match="y_g and y_e must have shape"):
             metrics_series(times[:-1], y_g, y_e, rho)
+        with pytest.raises(ValueError, match="y_g and y_e must have shape"):
+            metrics_series(times, y_g, y_e[:, :1], rho)
         y_e[-1] += 1e-6j * np.eye(2)
         with pytest.raises(PositivityError, match="imaginary part"):
             metrics_series(times, y_g, y_e, rho)
@@ -239,6 +241,14 @@ class TestMetricsSeries:
         records = metrics_series(*conditional_trajectories(STRONG, d, Preparation.GROUND, rho, 2.0, 0.01, stride=20), rho)
         assert any(rec.defined_g for rec in records) and any(rec.defined_e for rec in records)
         assert decomposed == [] and with_vectors == []
+
+    def test_diagonal_path_sums_probabilities_as_the_trace_does(self):
+        """Only the diagonals are read, and their sums round as np.trace of the whole states (d >= 8 sums pairwise)."""
+        rho = maximally_mixed(20)
+        times, y_g, y_e = conditional_trajectories(STRONG, 20, Preparation.EXCITED, rho, 2.0, 0.01, stride=20)
+        records = metrics_series(times, y_g, y_e, rho)
+        assert [rec.p_g for rec in records] == np.trace(y_g, axis1=1, axis2=2).real.tolist()
+        assert [rec.p_e for rec in records] == np.trace(y_e, axis1=1, axis2=2).real.tolist()
 
     def test_diagonal_path_rejects_negative_populations_as_the_dense_path_does(self, monkeypatch):
         """A population below -1e-8 p gives the dense path's eigenvalue message, with no decomposition."""

@@ -10,6 +10,8 @@ before integrating needs a stability check the package does not have yet,
 so these tests leave that region out.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,8 +63,12 @@ def test_maps_never_link_coherence_orders(p, d, prep, mode):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(stable_params(), st.integers(1, 4), st.sampled_from(Preparation), st.sampled_from(TruncationMode))
-def test_maps_completely_positive(p, d, prep, mode):
+@given(stable_params(), st.integers(1, 4), st.sampled_from(Preparation), st.sampled_from(TruncationMode),
+       st.booleans())
+def test_maps_completely_positive(p, d, prep, mode, resonant):
+    """At resonance (delta = 0) the generator is real, and the maps are propagated in real arithmetic."""
+    if resonant:
+        p = replace(p, delta=0.0)
     assert_physical(integrate_instrument(p, d, prep, T_MAX, DT, mode, STRIDE))
 
 
@@ -107,6 +113,20 @@ def diagonal_states(d):
     """Density matrices without coherences: random populations, Fock states and the maximally mixed state."""
     return st.one_of(random_populations(d), st.integers(0, d - 1).map(lambda n: fock_state(d, n)),
                      st.just(maximally_mixed(d)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(stable_params(), st.sampled_from(Preparation), st.sampled_from(TruncationMode), st.data())
+def test_real_path_trajectories_match_complex_path_maps(p, prep, mode, data):
+    """A diagonal state runs in real arithmetic; the detuned maps, whose coherence blocks rotate, in complex."""
+    p = replace(p, omega=max(p.omega, 0.1), delta=max(abs(p.delta), 0.1))
+    d = data.draw(st.integers(2, 5))
+    rho = data.draw(diagonal_states(d))
+    _, y_g, y_e = conditional_trajectories(p, d, prep, rho, T_MAX, DT, mode, STRIDE)
+    branch = integrate_instrument(p, d, prep, T_MAX, DT, mode, STRIDE)
+    assert np.any(branch.m_g.imag)
+    for y, maps in ((y_g, branch.m_g), (y_e, branch.m_e)):
+        assert np.max(np.abs(y - [apply_superop(m, rho) for m in maps])) < 1e-12
 
 
 def reference_metrics(branch, rho, base=2.0):
