@@ -262,72 +262,58 @@ class TestIntegration:
             assert np.max(np.abs(y_g[k] - apply_superop(branch.m_g[k], rho))) < 1e-12
             assert np.max(np.abs(y_e[k] - apply_superop(branch.m_e[k], rho))) < 1e-12
 
-    def test_propagates_only_the_occupied_blocks(self, monkeypatch):
-        """A state is propagated on the coherence blocks it occupies, the maps on all d."""
-        sizes = []
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """(blocks, sample dtype) of each kernel call, from the reduced model and the oracle alike."""
+        calls = []
 
         def recording(matrix, *args):
-            sizes.append(len(matrix))
-            return rk4_sampled(matrix, *args)
-
-        rk4_sampled = instrument._rk4_sampled
-        monkeypatch.setattr(instrument, "_rk4_sampled", recording)
-        d = 5
-        for rho, blocks in (
-            (fock_state(d, 2), 1),
-            (maximally_mixed(d), 1),
-            (rand_density(np.random.default_rng(3), d), d),
-        ):
-            sizes.clear()
-            conditional_trajectories(STRONG, d, Preparation.GROUND, rho, 0.1, 0.01)
-            assert sizes == [blocks]
-        sizes.clear()
-        integrate_instrument(STRONG, d, Preparation.GROUND, 0.1, 0.01)
-        assert sizes == [d]
-
-    @pytest.fixture
-    def kernel_dtypes(self, monkeypatch):
-        """The dtype of the samples of each kernel call, from the reduced model and the oracle alike."""
-        dtypes = []
-
-        def recording(*args):
-            times, samples = rk4_sampled(*args)
-            dtypes.append(samples.dtype)
+            times, samples = rk4_sampled(matrix, *args)
+            calls.append((len(matrix), samples.dtype))
             return times, samples
 
         rk4_sampled = instrument._rk4_sampled
         monkeypatch.setattr(instrument, "_rk4_sampled", recording)
         monkeypatch.setattr("cavityprobe.oracle._rk4_sampled", recording)
-        return dtypes
+        return calls
 
-    def test_kernel_runs_real_exactly_when_its_inputs_are_real(self, kernel_dtypes):
-        """Diagonal states and resonant maps run in float64; coherences, a detuning and the oracle's -iH in complex128.
+    def test_propagates_only_the_occupied_blocks(self, kernel_calls):
+        """A state is propagated on the coherence blocks it occupies, the maps on all d.
 
-        The public outputs are complex128 either way."""
-        d = 4
-        resonant = ModelParams(omega=0.7, delta=0.0, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
-        for rho, dtype in ((fock_state(d, 2), np.float64), (maximally_mixed(d), np.float64),
-                           (rand_density(np.random.default_rng(4), d), np.complex128)):
-            kernel_dtypes.clear()
-            _, y_g, y_e = conditional_trajectories(STRONG, d, Preparation.EXCITED, rho, 0.5, 0.01, stride=10)
-            assert kernel_dtypes == [dtype]
+        A diagonal state runs in real arithmetic, a state with coherences and
+        the detuned maps in complex; the outputs are complex128 either way."""
+        d = 5
+        for rho, blocks, dtype in (
+            (fock_state(d, 2), 1, np.float64),
+            (maximally_mixed(d), 1, np.float64),
+            (rand_density(np.random.default_rng(3), d), d, np.complex128),
+        ):
+            kernel_calls.clear()
+            _, y_g, y_e = conditional_trajectories(STRONG, d, Preparation.GROUND, rho, 0.1, 0.01)
+            assert kernel_calls == [(blocks, dtype)]
             assert y_g.dtype == y_e.dtype == np.complex128
-        for p, dtype in ((STRONG, np.complex128), (resonant, np.float64)):
-            kernel_dtypes.clear()
-            branch = integrate_instrument(p, d, Preparation.GROUND, 0.5, 0.01, stride=10)
-            assert kernel_dtypes == [dtype]
-            assert branch.m_g.dtype == branch.m_e.dtype == np.complex128
-        kernel_dtypes.clear()
-        branch = extract_instrument_oracle(SLOW, 2, Preparation.GROUND, 0.1, 0.01, stride=5)
-        assert kernel_dtypes == [np.complex128]
+        kernel_calls.clear()
+        branch = integrate_instrument(STRONG, d, Preparation.GROUND, 0.1, 0.01)
+        assert kernel_calls == [(d, np.complex128)]
         assert branch.m_g.dtype == branch.m_e.dtype == np.complex128
 
-    def test_imaginary_diagonal_keeps_the_complex_path(self, kernel_dtypes):
+    def test_resonant_maps_run_real_and_the_oracle_complex(self, kernel_calls):
+        """At delta = 0 the maps' generator is real; the oracle's -iH never is.  Both return complex128."""
+        resonant = ModelParams(omega=0.7, delta=0.0, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
+        branch = integrate_instrument(resonant, 4, Preparation.EXCITED, 0.5, 0.01, stride=10)
+        assert kernel_calls == [(4, np.float64)]
+        assert branch.m_g.dtype == branch.m_e.dtype == np.complex128
+        kernel_calls.clear()
+        branch = extract_instrument_oracle(SLOW, 2, Preparation.GROUND, 0.1, 0.01, stride=5)
+        assert kernel_calls == [(2, np.complex128)]
+        assert branch.m_g.dtype == branch.m_e.dtype == np.complex128
+
+    def test_imaginary_diagonal_keeps_the_complex_path(self, kernel_calls):
         """An imaginary part on the diagonal, within the density-matrix tolerance, is propagated, not dropped."""
         rho = maximally_mixed(3)
         rho[1, 1] += 1e-13j
         _, y_g, _ = conditional_trajectories(STRONG, 3, Preparation.GROUND, rho, 0.5, 0.01, stride=10)
-        assert kernel_dtypes == [np.complex128]
+        assert kernel_calls == [(1, np.complex128)]
         assert y_g[0, 1, 1] == rho[1, 1]
         assert np.all(y_g[1:, 1, 1].imag != 0.0)
 

@@ -242,6 +242,14 @@ class TestMetricsSeries:
         assert any(rec.defined_g for rec in records) and any(rec.defined_e for rec in records)
         assert decomposed == [] and with_vectors == []
 
+    def test_coherent_initial_state_takes_the_dense_path(self, monkeypatch):
+        """Diagonal conditional states do not make the metrics diagonal while rho_f has a coherence."""
+        times, y_g, y_e = conditional_trajectories(STRONG, 3, Preparation.GROUND, maximally_mixed(3), 1.0, 0.01, stride=50)
+        coherent = maximally_mixed(3) + 0.1 * (np.eye(3, k=1) + np.eye(3, k=-1))
+        decomposed, with_vectors = self.count_decompositions(monkeypatch)
+        metrics_series(times, y_g, y_e, coherent)
+        assert with_vectors == [1] and decomposed
+
     def test_diagonal_path_sums_probabilities_as_the_trace_does(self):
         """Only the diagonals are read, and their sums round as np.trace of the whole states (d >= 8 sums pairwise)."""
         rho = maximally_mixed(20)
