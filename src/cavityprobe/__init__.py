@@ -13,6 +13,5 @@ from .fock import *
 from .instrument import *
 from .metrics import *
 from .oracle import *
-from .superop import *
 
 __version__ = "0.1.0"

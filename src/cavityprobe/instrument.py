@@ -39,7 +39,6 @@ from functools import cached_property
 import numpy as np
 
 from .fock import TruncationMode, _check_dimension, check_density_matrix, quadratic_ops
-from .superop import unvec
 
 __all__ = [
     "DivergenceError",
@@ -142,7 +141,9 @@ class InstrumentBranch:
 
     m_g[k] and m_e[k] are the d^2 x d^2 superoperator matrices taking the
     initial field state to the unnormalized conditional state for ground /
-    excited readout at times[k].  A solver computes only the entries of the
+    excited readout at times[k].  They act on column-stacked operators:
+    X[i, j] sits at vec position i + d j, so the map X -> A X B has matrix
+    kron(B.T, A).  A solver computes only the entries of the
     stacked 2d^2 x d^2 matrix (M_g; M_e) at the row-major flat `positions`;
     entries[k] holds them at times[k], and m_g and m_e are scattered from
     them once, on first access.
@@ -173,7 +174,8 @@ def _slots(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _positions(d: int) -> np.ndarray:
     """Flat positions in (M_g; M_e) of the (d, 2d, d) map blocks: rows the g, then e slots of a block, columns its slots."""
-    position = unvec(np.arange(d * d))[_slots(d)]
+    i, j = _slots(d)
+    position = i + d * j
     return (np.hstack((position, d * d + position))[:, :, None] * (d * d) + position[:, None, :]).ravel()
 
 

@@ -28,16 +28,21 @@ class PositivityError(RuntimeError):
     """An outcome probability came out significantly negative."""
 
 
-def _checked_eig(rho: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """(eigenvalues through _clamped, eigenvectors or None) of a Hermitian PSD matrix, or a (..., d, d) stack.
+def _hermitian(rho: np.ndarray) -> np.ndarray:
+    """The Hermitian part of a matrix or a (..., d, d) stack; ValueError for any other shape.
 
     A non-finite entry is an error, checked first: eigvalsh can map a nan to a finite spectrum."""
     rho = np.asarray(rho)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise ValueError(f"need a (d, d) matrix or a (..., d, d) stack, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise InvalidStateError("matrix has a non-finite entry")
-    hermitian = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-    vals, vecs = np.linalg.eigh(hermitian) if vectors else (np.linalg.eigvalsh(hermitian), None)
-    return _clamped(vals), vecs
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+
+
+def _checked_eig(rho: np.ndarray) -> np.ndarray:
+    """Eigenvalues, through _clamped, of a Hermitian PSD matrix or a (..., d, d) stack."""
+    return _clamped(np.linalg.eigvalsh(_hermitian(rho)))
 
 
 def _clamped(vals: np.ndarray) -> np.ndarray:
@@ -55,7 +60,7 @@ def von_neumann_entropy(rho: np.ndarray, base: float = 2.0):
     number, not a bool, that is finite, positive and not 1.
     """
     base = _log_base(base)
-    return _entropy(_checked_eig(rho)[0], base)
+    return _entropy(_checked_eig(rho), base)
 
 
 def _log_base(base) -> float:
@@ -76,8 +81,8 @@ def _entropy(vals: np.ndarray, base: float):
 
 def sqrtm_psd(rho: np.ndarray) -> np.ndarray:
     """Hermitian square root of a PSD matrix, or of each matrix of a stack, via eigendecomposition."""
-    vals, vecs = _checked_eig(rho, vectors=True)
-    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    vals, vecs = np.linalg.eigh(_hermitian(rho))
+    return (vecs * np.sqrt(_clamped(vals))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray):
@@ -86,13 +91,12 @@ def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray):
     Either argument may be a (..., d, d) stack; the result then has the
     broadcast shape (...).
     """
-    rho = np.asarray(rho)
-    sigma = np.asarray(sigma)
+    rho, sigma = np.asarray(rho), np.asarray(sigma)
     if rho.shape[-2:] != sigma.shape[-2:]:
         raise ValueError(f"shape mismatch {rho.shape} vs {sigma.shape}")
     _checked_eig(sigma)
     root = sqrtm_psd(rho)
-    return _root_sum(_checked_eig(root @ sigma @ root)[0])
+    return _root_sum(_checked_eig(root @ sigma @ root))
 
 
 def _root_sum(vals: np.ndarray):
@@ -144,8 +148,12 @@ def metrics_series(
 
     y_g and y_e are the unnormalized conditional states M_g(t) rho_f and
     M_e(t) rho_f at `times`, as returned by conditional_trajectories.
+    times must be 1-D and real, checked before any state is read.
     """
     base = _log_base(base)
+    times = np.asarray(times)
+    if times.ndim != 1 or times.dtype.kind not in "iuf":
+        raise ValueError(f"times must be a 1-D array of real numbers, got shape {times.shape} and dtype {times.dtype}")
     rho_f = np.asarray(rho_f, dtype=complex)
     check_density_matrix(rho_f)
     y_g, y_e, shape = np.asarray(y_g), np.asarray(y_e), (len(times), *rho_f.shape)
@@ -172,10 +180,10 @@ def metrics_series(
     if dense:
         y = y[defined]
         states = 0.5 * (y + y.conj().swapaxes(-1, -2)) / p[defined][:, None, None]
-        vals, _ = _checked_eig(states)  # also the PSD check of the states that the products rely on
-        initial, _ = _checked_eig(rho_f)
+        vals = _checked_eig(states)  # also the PSD check of the states that the products rely on
+        initial = _checked_eig(rho_f)
         root = sqrtm_psd(rho_f)
-        products, _ = _checked_eig(root @ states @ root)
+        products = _checked_eig(root @ states @ root)
     else:  # no coherence (every Fock or mixed input): each spectrum is a diagonal, sorted as eigvalsh sorts it
         r, s = _clamped(np.diagonal(rho_f).real), _clamped(y[defined].real / p[defined][:, None])
         vals, initial, products = np.sort(s), np.sort(r), np.sort(r * s)

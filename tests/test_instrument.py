@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,7 @@ from cavityprobe.instrument import (
 )
 from cavityprobe.metrics import PositivityError, metrics_series
 from cavityprobe.oracle import extract_instrument_oracle, secular_residual
-from cavityprobe.superop import apply_superop, choi_matrix, unvec, vec
-from dense_ops import _dense, _sandwich_superop
+from dense_ops import _dense, _sandwich_superop, apply_superop, block_choi_certificate, choi_matrix, unvec, vec
 from cavityprobe.fock import annihilation_op, quadratic_ops
 
 STRONG = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
@@ -219,12 +220,32 @@ class TestIntegration:
         assert np.max(np.abs((1.0 - ptot) - expected)) < 1e-7
 
     def test_maps_completely_positive_and_hermiticity_preserving(self):
-        branch = integrate_instrument(STRONG, 3, Preparation.GROUND, 5.0, 0.01, stride=50)
-        for maps in (branch.m_g, branch.m_e):
-            for m in maps:
-                c = choi_matrix(m)
-                assert np.max(np.abs(c - c.conj().T)) < 1e-10
-                assert np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min() >= -1e-8
+        for d in (3, 20):
+            deviation, lowest = block_choi_certificate(integrate_instrument(STRONG, d, Preparation.GROUND, 5.0, 0.01,
+                                                                            stride=50))
+            assert deviation.max() < 1e-10
+            assert lowest.min() >= -1e-8
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 6])
+    def test_block_choi_certificate_matches_the_dense_choi_matrix(self, d):
+        """Per sample and outcome, to 1e-12; also for the negated maps, whose Choi matrices are far from PSD."""
+        for p, prep, mode in itertools.product((STRONG, WEAK), Preparation, TruncationMode):
+            branch = integrate_instrument(p, d, prep, 10.0, 0.01, mode, stride=20)
+            negated = InstrumentBranch(prep, branch.times, d, branch.positions, -branch.entries)
+            for b in (branch, negated):
+                choi = np.array([[choi_matrix(m) for m in maps] for maps in (b.m_g, b.m_e)]).swapaxes(0, 1)
+                adjoint = choi.conj().swapaxes(-1, -2)
+                deviation, lowest = block_choi_certificate(b)
+                assert np.max(np.abs(deviation - np.abs(choi - adjoint).max(axis=(-1, -2)))) < 1e-12
+                assert np.max(np.abs(lowest - np.linalg.eigvalsh(0.5 * (choi + adjoint))[..., 0])) < 1e-12
+
+    def test_block_choi_certificate_rejects_a_slot_that_links_two_orders(self):
+        """Block 1 at d = 2 holds X[1, 0] (order 1) in slot 0 and X[0, 1] (order -1) in slot 1."""
+        branch = integrate_instrument(STRONG, 2, Preparation.GROUND, 0.1, 0.01, stride=10)
+        entries = branch.entries.copy()
+        entries[:, branch.positions == 1 * 4 + 2] = 1e-300  # <1|M_g(|0><1|)|0>: order -1 in, order 1 out
+        with pytest.raises(AssertionError, match="linking two coherence orders"):
+            block_choi_certificate(InstrumentBranch(Preparation.GROUND, branch.times, 2, branch.positions, entries))
 
     def test_initial_slope_matches_field_rate_law(self):
         """dP_g/dt at t=0 equals -(field_rate * nbar + gamma_ge), the trace of

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,14 @@ class TestMatrixRoot:
             assert np.max(np.abs(root - root.conj().T)) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3), (4, 2, 3)])
+@pytest.mark.parametrize("call", [von_neumann_entropy, sqrtm_psd, lambda rho: uhlmann_fidelity(rho, rho)],
+                         ids=["entropy", "root", "fidelity"])
+def test_non_square_input_names_the_required_shape(call, shape):
+    with pytest.raises(ValueError, match=re.escape(f"need a (d, d) matrix or a (..., d, d) stack, got shape {shape}")):
+        call(np.ones(shape))
+
+
 class TestMetricsSeries:
     def test_time_zero_record_ground_prep(self):
         rho = maximally_mixed(3)
@@ -177,6 +187,15 @@ class TestMetricsSeries:
         with pytest.raises(PositivityError, match="imaginary part"):
             metrics_series(times, y_g, y_e, rho)
 
+    @pytest.mark.parametrize("times", [np.zeros((1, 1)), np.array([0j]), np.array([True]), np.array(["0"])],
+                             ids=["2-D", "complex", "bool", "str"])
+    def test_rejects_times_that_are_not_a_real_vector(self, times):
+        """times is checked before any state is read, so a run whose states fit its length is refused too."""
+        y = np.ones((1, 1, 1))
+        for states in ((y, y, np.eye(1)), (None, None, None)):
+            with pytest.raises(ValueError, match=r"times must be a 1-D array of real numbers, got shape \(1,"):
+                metrics_series(times, *states)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "coherence"])
     def test_rejects_non_finite_states(self, bad, entry):
@@ -207,19 +226,20 @@ class TestMetricsSeries:
 
     @staticmethod
     def count_decompositions(monkeypatch):
-        """Lists that record the stack size of each _checked_eig call, without and with eigenvectors."""
+        """Lists that record the stack size of each call of _checked_eig (no eigenvectors) and of sqrtm_psd (with them)."""
         import cavityprobe.metrics as metrics
 
         decomposed = []
         with_vectors = []
-        checked_eig = metrics._checked_eig
 
-        def counting(rho, vectors=False):
-            size = int(np.prod(np.shape(rho)[:-2]))
-            (with_vectors if vectors else decomposed).append(size)
-            return checked_eig(rho, vectors)
+        def counting(record, decompose):
+            def wrapper(rho):
+                record.append(int(np.prod(np.shape(rho)[:-2])))
+                return decompose(rho)
+            return wrapper
 
-        monkeypatch.setattr(metrics, "_checked_eig", counting)
+        monkeypatch.setattr(metrics, "_checked_eig", counting(decomposed, metrics._checked_eig))
+        monkeypatch.setattr(metrics, "sqrtm_psd", counting(with_vectors, metrics.sqrtm_psd))
         return decomposed, with_vectors
 
     def test_each_conditional_state_is_decomposed_twice(self, monkeypatch):

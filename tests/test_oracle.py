@@ -24,8 +24,7 @@ from cavityprobe.oracle import (
     secular_residual,
     _units,
 )
-from cavityprobe.superop import apply_superop, unvec, vec
-from dense_ops import _sandwich_superop
+from dense_ops import _sandwich_superop, apply_superop, unvec, vec
 
 STRONG = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
 

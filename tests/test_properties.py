@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from cavityprobe.fock import TruncationMode, fock_state, maximally_mixed
 from cavityprobe.instrument import ModelParams, Preparation, conditional_trajectories, integrate_instrument
 from cavityprobe.metrics import _P_FLOOR, metrics_series, uhlmann_fidelity, von_neumann_entropy
-from cavityprobe.superop import apply_superop, choi_matrix, vec
+from dense_ops import apply_superop, block_choi_certificate, vec
 
 T_MAX, DT, STRIDE = 5.0, 0.01, 25
 
@@ -45,11 +45,9 @@ def coherence_order(d):
 
 def assert_physical(branch):
     """Every sampled map has a Hermitian, positive semidefinite Choi matrix."""
-    for maps in (branch.m_g, branch.m_e):
-        for m in maps:
-            c = choi_matrix(m)
-            assert np.max(np.abs(c - c.conj().T)) < 1e-10
-            assert np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min() >= -1e-8
+    deviation, lowest = block_choi_certificate(branch)
+    assert deviation.max() < 1e-10
+    assert lowest.min() >= -1e-8
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -63,13 +61,28 @@ def test_maps_never_link_coherence_orders(p, d, prep, mode):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(stable_params(), st.integers(1, 4), st.sampled_from(Preparation), st.sampled_from(TruncationMode),
-       st.booleans())
+@given(stable_params(), st.integers(1, 4) | st.just(20), st.sampled_from(Preparation),
+       st.sampled_from(TruncationMode), st.booleans())
 def test_maps_completely_positive(p, d, prep, mode, resonant):
-    """At resonance (delta = 0) the generator is real, and the maps are propagated in real arithmetic."""
+    """At resonance (delta = 0) the generator is real, and the maps are propagated in real arithmetic.
+
+    RK4's maps are CP only up to its truncation error.  At d = 20 that error can exceed the 1e-8 allowance
+    inside the stable region: the detuning rotates order q at kappa delta q, up to 0.19 a step at q = 19, and
+    omega = 1, delta = 1, gamma_big = 0.5, excited, closure gives a Choi eigenvalue of -6.1e-7 at t = 0.25.
+    There the excess over the allowance must shrink at least 8-fold, sample by sample, when dt halves, as
+    RK4's O(dt^4) error does (by 30x or more over a grid of the region) and a map that is not CP would not.
+    """
     if resonant:
         p = replace(p, delta=0.0)
-    assert_physical(integrate_instrument(p, d, prep, T_MAX, DT, mode, STRIDE))
+    branch = integrate_instrument(p, d, prep, T_MAX, DT, mode, STRIDE)
+    if d < 20:
+        return assert_physical(branch)
+    deviation, lowest = block_choi_certificate(branch)
+    assert deviation.max() < 1e-10
+    excess = np.maximum(-1e-8 - lowest, 0.0)
+    if excess.any():
+        halved = block_choi_certificate(integrate_instrument(p, d, prep, T_MAX, DT / 2, mode, 2 * STRIDE))[1]
+        assert np.all(np.maximum(-1e-8 - halved, 0.0) <= excess / 8)
 
 
 def test_strict_maps_completely_positive():
