@@ -27,7 +27,9 @@ so they stay unlinked inside the block.  The whole generator is one
 A block that starts at zero stays at zero, so one state's cost scales
 with the blocks its nonzero entries occupy: conditional_trajectories
 propagates only those, and a diagonal state (Fock, mixed, thermal) needs
-block 0 alone.  The maps start from the identity, which occupies all d.
+block 0 alone.  The maps start from the identity, which occupies all d, and
+preserve Hermiticity, M(X^H) = M(X)^H: block d - b holds block b's conjugated
+entries, each slot's X_ij read as X_ji, so only blocks 0 .. d // 2 are propagated.
 """
 
 from __future__ import annotations
@@ -144,9 +146,9 @@ class InstrumentBranch:
     excited readout at times[k].  They act on column-stacked operators:
     X[i, j] sits at vec position i + d j, so the map X -> A X B has matrix
     kron(B.T, A).  A solver computes only the entries of the
-    stacked 2d^2 x d^2 matrix (M_g; M_e) at the row-major flat `positions`;
-    entries[k] holds them at times[k], and m_g and m_e are scattered from
-    them once, on first access.
+    stacked 2d^2 x d^2 matrix (M_g; M_e) at the row-major flat `positions`,
+    about half as the conjugates of the others at the transposed positions;
+    entries[k] holds them at times[k], and m_g and m_e are scattered once, on first access.
     """
 
     prep: Preparation
@@ -176,6 +178,7 @@ def _positions(d: int) -> np.ndarray:
     """Flat positions in (M_g; M_e) of the (d, 2d, d) map blocks: rows the g, then e slots of a block, columns its slots."""
     i, j = _slots(d)
     position = i + d * j
+    position[d // 2 + 1 :] = (j + d * i)[(d - 1) // 2 : 0 : -1]  # block t > d // 2: X_ji for block d - t's X_ij
     return (np.hstack((position, d * d + position))[:, :, None] * (d * d) + position[:, None, :]).ravel()
 
 
@@ -254,7 +257,7 @@ def _sample_steps(d: int, t_max: float, dt: float, stride: int) -> range:
     return grid
 
 
-def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, dt: float, grid: range):
+def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, dt: float, grid: range, mirrored: int = 0):
     """Fixed-step RK4 on d/dt y = matrix @ y, sampled at each step of grid and at its final step grid.stop.
 
     One step is P(M) = I + M (I + M (I + M (I + M/4)/3)/2) with M = dt
@@ -269,6 +272,8 @@ def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, dt: float, grid: range)
     otherwise.  Samples are written once, each into its slot of one
     preallocated array.  Returns (times, samples); the run goes to its
     horizon and then raises DivergenceError at the first non-finite sample.
+    With mirrored = m, samples hold m blocks after the n of state0, written
+    in place as the conjugates of blocks m .. 1.
     """
     dt = float(dt)  # numpy cannot convert an integer dt beyond int64
     steps = np.array([*grid, grid.stop])
@@ -276,16 +281,19 @@ def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, dt: float, grid: range)
     real = not (np.any(matrix.imag) or np.any(state0.imag))
     m = dt * (matrix.real if real else matrix)
     eye = np.eye(m.shape[-1])
-    samples = np.empty((len(steps), *state0.shape), dtype=float if real else complex)
-    samples[0] = state0.real if real else state0
+    samples = np.empty((len(steps), len(state0) + mirrored, *state0.shape[1:]), dtype=float if real else complex)
+    propagated = samples[:, : len(state0)]
+    propagated[0] = state0.real if real else state0
     with np.errstate(over="ignore", invalid="ignore"):
         step = eye + m @ (eye + m @ (eye + m @ (eye + m / 4) / 3) / 2)
         powers = {gap: np.linalg.matrix_power(step, gap) for gap in {gaps[0], gaps[-1]}}
         for k, gap in enumerate(gaps, 1):
-            np.matmul(powers[gap], samples[k - 1], out=samples[k])
-    finite = np.isfinite(samples).reshape(len(steps), -1).all(axis=1)
+            np.matmul(powers[gap], propagated[k - 1], out=propagated[k])
+    finite = np.isfinite(propagated).reshape(len(steps), -1).all(axis=1)
     if not finite.all():
         raise DivergenceError(steps[np.argmin(finite)] * dt)
+    if mirrored:
+        np.conjugate(samples[:, mirrored:0:-1], out=samples[:, len(state0) :])
     return steps * dt, samples
 
 
@@ -298,19 +306,20 @@ def _propagate_blocks(
     grid: range,
     mode: TruncationMode,
     blocks: slice | np.ndarray = slice(None),
+    mirrored: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """RK4 on grid (from _sample_steps) of the n blocks of the stack that blocks selects (all d by default) from field0.
 
     field0 holds the prepared branch's slots, (n, d, k), or (d, k) for each
     selected block.  Returns (times, samples) with samples of shape
-    (T, n, 2d, k): the g and then the e slots of each selected block of each
-    sample.
+    (T, n + mirrored, 2d, k): the g and then the e slots of each block of
+    each sample, the selected ones and then _rk4_sampled's mirrors.
     """
     offset = 0 if Preparation(prep) is Preparation.GROUND else d
     generator = build_block_generator(p, d, mode, blocks)
     state0 = np.zeros((len(generator), 2 * d, field0.shape[-1]), dtype=complex)
     state0[:, offset : offset + d] = field0
-    return _rk4_sampled(generator, state0, dt, grid)
+    return _rk4_sampled(generator, state0, dt, grid, mirrored)
 
 
 def integrate_instrument(
@@ -328,7 +337,7 @@ def integrate_instrument(
     a whole number of steps of size dt.
     """
     grid = _sample_steps(d, t_max, dt, stride)
-    times, samples = _propagate_blocks(p, d, prep, np.eye(d), dt, grid, mode)
+    times, samples = _propagate_blocks(p, d, prep, np.eye(d), dt, grid, mode, slice(d // 2 + 1), (d - 1) // 2)
     return InstrumentBranch(Preparation(prep), times, d, _positions(d), samples.reshape(len(times), -1))
 
 

@@ -27,7 +27,9 @@ with N = |e><e| + a+a: H trades one excitation between atom and field, and
 each jump shifts both sides of J rho J^dagger alike.  Order q holds 4d - 2
 units at q = 0, 4 (d - |q|) at 0 < |q| < d and one at |q| = d, so each class
 q mod d fills exactly 4d: the orders q and q - d, or 0 and +-d.  The oracle
-integrates the generator as the (d, 4d, 4d) stack of these blocks (_units).
+integrates the generator as the stack of these blocks (_units) for classes
+0 .. d // 2: it preserves Hermiticity, so class d - t holds the conjugates of
+class t's entries, at the transposed units |y><x|.
 """
 
 from __future__ import annotations
@@ -135,24 +137,28 @@ def extract_instrument_oracle(
     limit = dt_limit(p)
     if dt > limit * (1 + 1e-12):
         raise ValueError(f"dt={dt} too coarse for these rates; need dt <= {limit:.6g}")
-    units = _units(d)
+    half, units = d // 2 + 1, _units(d)
     y, x = np.divmod(units, 2 * d)
+    x[half:], y[half:] = y[d - half : 0 : -1], x[d - half : 0 : -1]  # class t > d // 2: class d - t transposed
     atom, field = x // d, x % d + d * (y % d)  # field: the vec position of the unit's field part
-    # Column k of block b starts at the block's k-th unit |a, m><a, n| of the
+    # Column k of class b starts at the class's k-th unit |a, m><a, n| of the
     # prepared pointer a; the gg and ee units are rows atom d^2 + field of (M_g; M_e).
     start = np.nonzero((atom == (prep is Preparation.EXCITED)) & (y // d == atom))
     columns = np.zeros((d, 4 * d, d), dtype=complex)
     columns[(*start, np.arange(d * d) % d)] = 1.0
     frame_hamiltonian = joint_hamiltonian(p, d, 0.0) + p.delta * _joint(np.diag([0.0, 1.0]), np.eye(d))
-    times, samples = _rk4_sampled(_liouvillian(p, d, frame_hamiltonian, units), columns, dt, grid)
-    traces = samples[:, x == y].sum(axis=1)
+    times, samples = _rk4_sampled(_liouvillian(p, d, frame_hamiltonian, units[:half]), columns[:half], dt, grid)
+    traces = samples[:, (x == y)[:half]].sum(axis=1)
     drift = np.abs(traces - traces[0]).max(axis=1)
     bad = np.flatnonzero(drift > 1e-9)
     if bad.size:
         raise DivergenceError(times[bad[0]], f"trace drifted by {drift[bad[0]]:.3e}")
     read = np.nonzero(y // d == atom)
+    entries = np.empty((len(times), d, 2 * d, d), dtype=complex)
+    entries[:, :half] = samples[:, np.arange(half)[:, None], read[1].reshape(d, 2 * d)[:half]]
+    np.conjugate(entries[:, d - half : 0 : -1], out=entries[:, half:])
     positions = (atom * d * d + field)[read][:, None] * (d * d) + field[start].reshape(d, d)[read[0]]
-    return InstrumentBranch(prep, times, d, positions.ravel(), samples[:, read[0], read[1]].reshape(len(times), -1))
+    return InstrumentBranch(prep, times, d, positions.ravel(), entries.reshape(len(times), -1))
 
 
 def secular_residual(

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,21 @@ class TestBlockGenerator:
             lower = np.r_[slots[slots >= d - b], d + slots[slots >= d - b]]
             assert np.all(stack[b][np.ix_(upper, lower)] == 0.0)
             assert np.all(stack[b][np.ix_(lower, upper)] == 0.0)
+
+    def test_block_d_minus_b_is_the_rolled_conjugate_of_block_b(self):
+        """The generator preserves Hermiticity: slot s of block d - b, in each branch, is slot (s + d - b) mod d
+        of block b, conjugated, bit for bit (random detuned rates, both truncations, d <= 12)."""
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            gamma_big = rng.uniform(0.5, 5.0)
+            p = ModelParams(omega=rng.uniform(0.0, 2.0), delta=rng.uniform(-3.0, 3.0), gamma_big=gamma_big,
+                            gamma_ge=rng.uniform() * gamma_big, gamma_eg=rng.uniform() * gamma_big)
+            for mode, d in itertools.product(TruncationMode, range(1, 13)):
+                stack = build_block_generator(p, d, mode)
+                for b in range(d):
+                    slot = (np.arange(d) + d - b) % d
+                    rolled = np.r_[slot, d + slot]
+                    assert np.array_equal(stack[(d - b) % d], stack[b][np.ix_(rolled, rolled)].conj())
 
     @pytest.mark.parametrize("mode", list(TruncationMode))
     @pytest.mark.parametrize("blocks", [slice(None), np.array([0]), np.array([1, 3, 4]), np.arange(5)],
@@ -308,10 +324,12 @@ class TestIntegration:
         return calls
 
     def test_propagates_only_the_occupied_blocks(self, kernel_calls):
-        """A state is propagated on the coherence blocks it occupies, the maps on all d.
+        """A state is propagated on the coherence blocks it occupies, the maps on blocks 0 .. d // 2.
 
-        A diagonal state runs in real arithmetic, a state with coherences and
-        the detuned maps in complex; the outputs are complex128 either way."""
+        The maps' other blocks are the mirrors of those, so their entries still
+        cover all d.  A diagonal state runs in real arithmetic, a state with
+        coherences and the detuned maps in complex; the outputs are complex128
+        either way."""
         d = 5
         for rho, blocks, dtype in (
             (fock_state(d, 2), 1, np.float64),
@@ -324,17 +342,21 @@ class TestIntegration:
             assert y_g.dtype == y_e.dtype == np.complex128
         kernel_calls.clear()
         branch = integrate_instrument(STRONG, d, Preparation.GROUND, 0.1, 0.01)
-        assert kernel_calls == [(d, np.complex128)]
+        assert kernel_calls == [(3, np.complex128)]
+        assert branch.entries.shape == (len(branch.times), 2 * d**3)
         assert branch.m_g.dtype == branch.m_e.dtype == np.complex128
 
     def test_resonant_maps_run_real_and_the_oracle_complex(self, kernel_calls):
-        """At delta = 0 the maps' generator is real; the oracle's -iH never is.  Both return complex128."""
+        """At delta = 0 the maps' generator is real; the oracle's -iH never is.  Both return complex128.
+
+        Each solver propagates blocks or classes 0 .. d // 2 of d: 3 of 4 and 2 of 3 here."""
         resonant = ModelParams(omega=0.7, delta=0.0, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
         branch = integrate_instrument(resonant, 4, Preparation.EXCITED, 0.5, 0.01, stride=10)
-        assert kernel_calls == [(4, np.float64)]
+        assert kernel_calls == [(3, np.float64)]
+        assert branch.entries.dtype == np.float64
         assert branch.m_g.dtype == branch.m_e.dtype == np.complex128
         kernel_calls.clear()
-        branch = extract_instrument_oracle(SLOW, 2, Preparation.GROUND, 0.1, 0.01, stride=5)
+        branch = extract_instrument_oracle(SLOW, 3, Preparation.GROUND, 0.1, 0.01, stride=5)
         assert kernel_calls == [(2, np.complex128)]
         assert branch.m_g.dtype == branch.m_e.dtype == np.complex128
 
@@ -346,6 +368,24 @@ class TestIntegration:
         assert kernel_calls == [(1, np.complex128)]
         assert y_g[0, 1, 1] == rho[1, 1]
         assert np.all(y_g[1:, 1, 1].imag != 0.0)
+
+    @pytest.mark.parametrize("solve, bound", [
+        (lambda: integrate_instrument(STRONG, 20, Preparation.GROUND, 10.0, 0.01, stride=10), 1.25),
+        (lambda: extract_instrument_oracle(STRONG, 20, Preparation.GROUND, 10.0, 0.005, stride=20), 3.2),
+    ], ids=["reduced", "oracle"])
+    def test_peak_allocation_stays_near_the_entries(self, solve, bound):
+        """The traced peak of one solver call at d = 20, as a multiple of the entries it returns.
+
+        The mirrored blocks are written in place into the one entries array;
+        a second samples-sized array would read about 2 for the maps.  The
+        oracle's grid is the one run --oracle uses at the default dt."""
+        tracemalloc.start()
+        try:
+            branch = solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * branch.entries.nbytes
 
     def test_final_step_always_sampled(self):
         branch = integrate_instrument(STRONG, 2, Preparation.GROUND, 0.25, 0.01, stride=10)

@@ -11,8 +11,10 @@ from cavityprobe.instrument import (
     InstrumentBranch,
     ModelParams,
     Preparation,
+    _propagate_blocks,
     _rk4_sampled,
     _sample_steps,
+    _slots,
     integrate_instrument,
 )
 from cavityprobe.oracle import (
@@ -20,6 +22,7 @@ from cavityprobe.oracle import (
     extract_instrument_oracle,
     joint_hamiltonian,
     joint_liouvillian,
+    _liouvillian,
     _pure_dephasing_rate,
     secular_residual,
     _units,
@@ -112,9 +115,10 @@ RATES = st.one_of(st.just(0.0), st.floats(0.0, 3.0, allow_subnormal=False))
 @example(2, 0.7, 0.5, 0.0, 0.1, 1.0, 0.3)  # gamma_big at its floor: no dephasing channel
 @example(2, 0.7, 0.5, 0.0, 0.0, 0.0, 0.3)  # no dissipation at all
 def test_effective_hamiltonian_form_matches_textbook_form(d, omega, delta, above_floor, gamma_ge, gamma_eg, t):
-    """joint_liouvillian and the frame generator's blocks, built through K = -iH - sum rate J^dagger J / 2,
+    """joint_liouvillian and the frame generator's d blocks, built through K = -iH - sum rate J^dagger J / 2,
     against the commutator plus the Lindblad dissipator of every channel.  The blocks partition the
-    (2d)^2 joint units, and the textbook generator links no two of them."""
+    (2d)^2 joint units, and the textbook generator links no two of them.  The oracle propagates
+    classes 0 .. d // 2 of them, bit for bit the first d // 2 + 1 blocks of the stack."""
     try:
         p = ModelParams(omega=omega, delta=delta, gamma_big=0.5 * (gamma_ge + gamma_eg) + above_floor,
                         gamma_ge=gamma_ge, gamma_eg=gamma_eg)
@@ -122,7 +126,9 @@ def test_effective_hamiltonian_form_matches_textbook_form(d, omega, delta, above
         reject()
     reference = textbook_liouvillian(p, d, joint_hamiltonian(p, d, t))
     assert np.max(np.abs(joint_liouvillian(p, d, t) - reference)) <= 1e-13 * np.max(np.abs(reference))
-    blocks, units = frame_generator(p, d), _units(d)
+    units = _units(d)
+    blocks = _liouvillian(p, d, frame_hamiltonian(p, d), units)
+    assert np.array_equal(frame_generator(p, d), blocks[: d // 2 + 1])
     reference = textbook_liouvillian(p, d, frame_hamiltonian(p, d))
     assert blocks.shape == (d, 4 * d, 4 * d)
     assert np.array_equal(np.sort(units, axis=None), np.arange(4 * d * d))
@@ -131,6 +137,83 @@ def test_effective_hamiltonian_form_matches_textbook_form(d, omega, delta, above
     block_of = np.empty(4 * d * d, dtype=int)
     block_of[units] = np.arange(d)[:, None]
     assert np.all(reference[block_of[:, None] != block_of] == 0.0)
+
+
+def transposed(units, d):
+    """The vec positions of |y><x| for the joint units |x><y| at vec positions units."""
+    y, x = np.divmod(units, 2 * d)
+    return y + 2 * d * x
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_frame_generator_class_d_minus_t_is_the_transposed_conjugate_of_class_t(d):
+    """The joint generator preserves Hermiticity: between the transposes |y><x| of two units of class t,
+    which lie in class d - t, it holds the conjugate of its entry between the units.  The relation is
+    bit for bit (random detuned rates, the frame generator built on all of _units(d))."""
+    rng = np.random.default_rng(d)
+    units = _units(d)
+    for _ in range(5):
+        gamma_ge, gamma_eg = rng.uniform(0.0, 2.0, 2)
+        p = ModelParams(omega=rng.uniform(0.0, 3.0), delta=rng.uniform(-5.0, 5.0),
+                        gamma_big=0.5 * (gamma_ge + gamma_eg) + rng.uniform(0.0, 3.0),
+                        gamma_ge=gamma_ge, gamma_eg=gamma_eg)
+        blocks = _liouvillian(p, d, frame_hamiltonian(p, d), units)
+        for t in range(d):
+            mirror = transposed(units[t], d)
+            order = np.argsort(units[(d - t) % d])
+            where = order[np.searchsorted(units[(d - t) % d], mirror, sorter=order)]  # class d - t's index of each
+            assert np.array_equal(units[(d - t) % d][where], mirror)
+            assert np.array_equal(blocks[(d - t) % d][np.ix_(where, where)], blocks[t].conj())
+
+
+def by_position(positions, entries):
+    """A branch's positions in increasing order, with its entries in that order."""
+    order = np.argsort(positions)
+    return positions[order], entries[:, order]
+
+
+def full_reduced_maps(p, d, prep, mode, dt, grid):
+    """(positions, entries) of the maps from the reduced model's RK4 on all d coherence blocks."""
+    times, samples = _propagate_blocks(p, d, prep, np.eye(d), dt, grid, mode, slice(None))
+    i, j = _slots(d)
+    position = i + d * j
+    positions = np.hstack((position, d * d + position))[:, :, None] * (d * d) + position[:, None, :]
+    return positions.ravel(), samples.reshape(len(times), -1)
+
+
+def full_oracle_maps(p, d, prep, dt, grid):
+    """(positions, entries) of the maps from the joint RK4 on all d classes of _units(d), read as the oracle reads them."""
+    units = _units(d)
+    y, x = np.divmod(units, 2 * d)
+    atom, field = x // d, x % d + d * (y % d)
+    start = np.nonzero((atom == (prep is Preparation.EXCITED)) & (y // d == atom))
+    columns = np.zeros((d, 4 * d, d), dtype=complex)
+    columns[(*start, np.arange(d * d) % d)] = 1.0
+    times, samples = _rk4_sampled(_liouvillian(p, d, frame_hamiltonian(p, d), units), columns, dt, grid)
+    read = np.nonzero(y // d == atom)
+    positions = (atom * d * d + field)[read][:, None] * (d * d) + field[start].reshape(d, d)[read[0]]
+    return positions.ravel(), samples[:, read[0], read[1]].reshape(len(times), -1)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 7) | st.just(20), st.sampled_from(Preparation), st.sampled_from(TruncationMode),
+       st.floats(0.0, 1.0), st.floats(-3.0, 3.0), st.floats(0.5, 5.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@example(20, Preparation.EXCITED, TruncationMode.STRICT, 1.0, 1.0, 0.5, 0.0, 0.0)
+@example(6, Preparation.GROUND, TruncationMode.ALGEBRAIC_CLOSURE, 0.7, 0.5, 2.0, 0.05, 0.5)  # the strong preset
+def test_mirrored_entries_match_the_propagation_of_every_block(d, prep, mode, omega, delta, gamma_big, ge, eg):
+    """Both solvers propagate blocks or classes 0 .. d // 2 and mirror the rest.  Keyed by position, their
+    entries match RK4 on all d blocks (reduced) or classes (oracle) to 1e-13 of the largest entry."""
+    p = ModelParams(omega=omega, delta=delta, gamma_big=gamma_big, gamma_ge=ge * gamma_big, gamma_eg=eg * gamma_big)
+    dt = dt_limit(p)
+    grid = _sample_steps(d, 40 * dt, dt, 10)
+    for branch, (positions, entries) in (
+        (integrate_instrument(p, d, prep, 40 * dt, dt, mode, 10), full_reduced_maps(p, d, prep, mode, dt, grid)),
+        (extract_instrument_oracle(p, d, prep, 40 * dt, dt, 10), full_oracle_maps(p, d, prep, dt, grid)),
+    ):
+        held, halved = by_position(branch.positions, branch.entries)
+        expected_held, expected = by_position(positions, entries)
+        assert np.array_equal(held, expected_held)
+        assert np.max(np.abs(halved - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def dense_oracle(p, d, prep, t_max, dt, stride):
