@@ -141,7 +141,7 @@ def extract_instrument_oracle(
     y, x = np.divmod(units, 2 * d)
     x[half:], y[half:] = y[d - half : 0 : -1], x[d - half : 0 : -1]  # class t > d // 2: class d - t transposed
     atom, field = x // d, x % d + d * (y % d)  # field: the vec position of the unit's field part
-    # Column k of class b starts at the class's k-th unit |a, m><a, n| of the
+    # Column k of block b starts at the block's k-th unit |a, m><a, n| of the
     # prepared pointer a; the gg and ee units are rows atom d^2 + field of (M_g; M_e).
     start = np.nonzero((atom == (prep is Preparation.EXCITED)) & (y // d == atom))
     columns = np.zeros((d, 4 * d, d), dtype=complex)
