@@ -54,10 +54,10 @@ def _clamped(vals: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: np.ndarray, base: float = 2.0):
-    """Entropy -sum(lam log lam) of a density matrix, with 0 log 0 = 0.
+    """Entropy -sum(lam log lam) of a density matrix, with 0 log 0 = 0; a library convenience.
 
-    A (..., d, d) stack gives an array of shape (...).  base must be a real
-    number, not a bool, that is finite, positive and not 1.
+    A (..., d, d) stack gives an array of shape (...).  base must be a real number, not a bool, that is
+    finite, positive and not 1.  metrics_series does not call this; it computes the same entropy inline.
     """
     base = _log_base(base)
     return _entropy(_checked_eig(rho), base)
@@ -86,10 +86,10 @@ def sqrtm_psd(rho: np.ndarray) -> np.ndarray:
 
 
 def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray):
-    """Fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)) between density matrices.
+    """Fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)) between density matrices; a library convenience.
 
-    Either argument may be a (..., d, d) stack; the result then has the
-    broadcast shape (...).
+    Either argument may be a (..., d, d) stack; the result then has the broadcast shape (...).
+    metrics_series does not call this; it computes the same fidelity inline for its stacks.
     """
     rho, sigma = np.asarray(rho), np.asarray(sigma)
     if rho.shape[-2:] != sigma.shape[-2:]:

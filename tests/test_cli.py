@@ -373,12 +373,12 @@ class TestSweep:
 
     # sha256 of each file that `sweep --preset strong --t-max 1.0` writes.
     STRONG_SWEEP_DIGESTS = {
-        "strong-fock-n1.csv": "f6de8f19fc55ad05f2cbe0c0267003d929467e71ee2d13cc326ff5f37d371975",
-        "strong-fock-n3.csv": "5922d08e45e9e623370f590801eb547b0fe0e5e453b132ec1331f8888612af15",
-        "strong-fock-n5.csv": "e1b732756ab1d03b3e97f249c1d863df634bf4957855c76146a590b8bcd12eb3",
-        "strong-mixed-d2.csv": "36fc55ff3971a72521009193df4c9df3f7df344cc698f7787e173b494c02b258",
-        "strong-mixed-d4.csv": "2be47c01832ed0eb060633fd2bbbb9b431c0e5792f2300004640669e2e077647",
-        "strong-mixed-d6.csv": "1c24bf6d6d4e015e227e4799662962fa7216056013713b8563a5f7bbc459fff9",
+        "strong-fock-n1.csv": "6e5ce93c6ab9f779728a9ab2bd2cb9b42e9f7cc96e2a33fafec4e58d59f8826e",
+        "strong-fock-n3.csv": "a28464694fe968c86a697dddda7c9c0980d23e2be121126d1072bbc52113cf04",
+        "strong-fock-n5.csv": "84a02d3c2bd95b3b6a77a4935b3feac63fa323fb2b87e42a1252a3ec25e9f128",
+        "strong-mixed-d2.csv": "e912178761de3261bba9f1069998cf3f49141a108ab6cbfb9c857fd3ae83d072",
+        "strong-mixed-d4.csv": "ac154512435baa08f6c2714f3a0a909d517db52c44884baa0775e5aaa4dc5c50",
+        "strong-mixed-d6.csv": "c2e8412c148673182ebefdb2f89c9f507889f78d89553a60aebdb1f9c9b6e8f8",
         "strong-fock-n1.svg": "320a40d68897f54c2b7acc92baa35152b0468a69dfd533e5b301ca9e12d27b10",
         "strong-fock-n3.svg": "1fa4b2e70cae508ef3f767d574f53582a7faabd99a2c3392a6ab09585c10265a",
         "strong-fock-n5.svg": "563188aa125c062bb7441a15f37c5c546e511040af79f34468b08634d126c325",

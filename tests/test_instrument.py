@@ -49,6 +49,37 @@ def total_probability(branch, rho):
     )
 
 
+def kernel_input(p, d, state):
+    """(generator, state0) as the solvers hand them to the kernel, ground pointer: "maps" propagates the identity on
+    blocks 0 .. d // 2, "mixed" the maximally mixed state on block 0.  A generator without imaginary part comes real."""
+    blocks = slice(d // 2 + 1) if state == "maps" else [0]
+    matrix = build_block_generator(p, d, blocks=blocks)
+    matrix = matrix if np.any(matrix.imag) else matrix.real
+    state0 = np.zeros((len(matrix), 2 * d, d if state == "maps" else 1), dtype=matrix.dtype)
+    state0[:, :d] = np.eye(d) if state == "maps" else 1.0 / d
+    return matrix, state0
+
+
+def sequential_rk4(matrix, state0, dt, grid):
+    """The kernel as its docstring states it, one sample at a time: P = I + M (I + M (I + M (I + M/4)/3)/2) with
+    M = dt matrix, and each sample is P^gap times the one before.  Returns (times, samples)."""
+    m = dt * matrix
+    eye = np.eye(m.shape[-1])
+    steps = np.array([*grid, grid.stop])
+    samples = [state0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = eye + m @ (eye + m @ (eye + m @ (eye + m / 4) / 3) / 2)
+        powers = {gap: np.linalg.matrix_power(step, gap) for gap in set(np.diff(steps))}
+        for gap in np.diff(steps):
+            samples.append(powers[gap] @ samples[-1])
+    return steps * dt, np.array(samples)
+
+
+def samples_by_doubling(matrix) -> bool:
+    """Whether the kernel fills this generator's samples by doubling: its squaring costs at most _DOUBLING_MADDS."""
+    return matrix.size * matrix.shape[-1] * (1 if np.isrealobj(matrix) else 4) <= instrument._DOUBLING_MADDS
+
+
 class TestModelParams:
     def test_derived_rates_strong_values(self):
         assert abs(STRONG.kappa - 0.49 / 4.25) < 1e-16
@@ -448,6 +479,56 @@ class TestIntegration:
                 run(3.0)
             assert err.value.t == 1.0
             assert np.all(np.isfinite(run(0.9)))
+
+    @pytest.mark.parametrize("d, state, doubled", [
+        (4, "maps", True), (10, "maps", True), (20, "mixed", True), (40, "mixed", False), (20, "maps", False),
+    ])
+    def test_kernel_matches_the_sequential_products(self, d, state, doubled):
+        """Over 145 samples whose stride does not divide the run, the kernel gives P^gap applied sample by sample:
+        to 1e-13 of the largest entry where squaring is cheap and it samples by doubling, and bit for bit past that
+        size, where each sample is one product of the last."""
+        matrix, state0 = kernel_input(STRONG, d, state)
+        assert samples_by_doubling(matrix) == doubled
+        grid = range(0, 1003, 7)
+        times, samples = instrument._rk4_sampled(matrix, state0, 0.01, grid)
+        expected_times, expected = sequential_rk4(matrix, state0, 0.01, grid)
+        assert np.array_equal(times, expected_times)
+        assert samples.dtype == expected.dtype
+        if doubled:
+            assert np.max(np.abs(samples - expected)) <= 1e-13 * np.max(np.abs(expected))
+        else:
+            assert np.array_equal(samples, expected)
+
+    def test_divergence_is_the_first_non_finite_sequential_sample(self):
+        """With the unstable rates above, doubling reports the sample where the sequential run first overflows."""
+        unstable = ModelParams(omega=1.0, delta=0.0, gamma_big=0.008, gamma_ge=0.0, gamma_eg=0.01)
+        d, grid = 4, range(0, 300, 10)
+        for state, run in (
+            ("maps", lambda: integrate_instrument(unstable, d, Preparation.GROUND, 3.0, 0.01, stride=10)),
+            ("mixed", lambda: conditional_trajectories(
+                unstable, d, Preparation.GROUND, maximally_mixed(d), 3.0, 0.01, stride=10)),
+        ):
+            matrix, state0 = kernel_input(unstable, d, state)
+            assert samples_by_doubling(matrix)
+            times, expected = sequential_rk4(matrix, state0, 0.01, grid)
+            first = np.argmin(np.isfinite(expected).reshape(len(times), -1).all(axis=1))
+            assert first > 0
+            with pytest.raises(DivergenceError) as err:
+                run()
+            assert err.value.t == times[first]
+
+    def test_a_squared_power_that_overflows_ends_the_doubling(self):
+        """The e branch here is past RK4's limit (dt gamma_eg = 3), but a ground pointer never enters it, so the
+        sequential run stays finite.  From t = 4096 a squared power holds inf, which on the branch's exact zeros
+        would give nan; the kernel stops doubling there and takes the rest one product each, as the reference does."""
+        p = ModelParams(omega=0.0, delta=0.0, gamma_big=1.5, gamma_ge=0.0, gamma_eg=3.0)
+        matrix, state0 = kernel_input(p, 2, "mixed")
+        assert samples_by_doubling(matrix)
+        grid = range(0, 5000)
+        _, samples = instrument._rk4_sampled(matrix, state0, 1.0, grid)
+        assert np.array_equal(samples, sequential_rk4(matrix, state0, 1.0, grid)[1])
+        _, y_g, y_e = conditional_trajectories(p, 2, Preparation.GROUND, maximally_mixed(2), 5000.0, 1.0)
+        assert np.all(y_g == maximally_mixed(2)) and np.all(y_e == 0.0)
 
     def test_unoccupied_blocks_never_diverge(self):
         """A block the state leaves at zero is not propagated, so its own instability raises nothing."""

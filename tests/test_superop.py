@@ -1,3 +1,8 @@
+"""Tests of the dense reference helpers in dense_ops.py: vec, unvec, apply_superop, choi_matrix, _sandwich_superop.
+
+The file keeps the name of the superop module those helpers came from, so that its test IDs stay as recorded.
+"""
+
 import numpy as np
 import pytest
 
