@@ -233,10 +233,10 @@ def _write_text(path: str, text: str) -> None:
 def run(config: RunConfig) -> str:
     """Execute one configured run; writes the CSV (and SVG) and returns the CSV text."""
     rho_f = config.initial_density()
-    trajectories = conditional_trajectories(
+    branch = conditional_trajectories(
         config.model_params(), config.d, config.prep, rho_f, config.t_max, config.dt, config.truncation, config.stride
     )
-    records = metrics_series(*trajectories, rho_f, base=config.log_base)
+    records = metrics_series(branch, rho_f, base=config.log_base)
     text = render_csv(records)
     _write_text(config.csv_out, text)
     if config.svg_out:

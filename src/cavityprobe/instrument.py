@@ -139,16 +139,19 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class InstrumentBranch:
-    """Time series of the outcome maps for one pointer preparation.
+    """Time series of the outcome maps, or of one conditional state, for one pointer preparation.
 
-    m_g[k] and m_e[k] are the d^2 x d^2 superoperator matrices taking the
+    A solver computes only some entries of the dense pair (M_g, M_e) of
+    shape (2, *shape): entries[k] holds them at times[k], at the row-major
+    flat `positions` of that pair, and m_g and m_e are scattered once, on
+    first access.  For maps, shape is (d^2, d^2): m_g[k] and m_e[k] take the
     initial field state to the unnormalized conditional state for ground /
     excited readout at times[k].  They act on column-stacked operators:
     X[i, j] sits at vec position i + d j, so the map X -> A X B has matrix
-    kron(B.T, A).  A solver computes only the entries of the
-    stacked 2d^2 x d^2 matrix (M_g; M_e) at the row-major flat `positions`,
-    about half as the conjugates of the others at the transposed positions;
-    entries[k] holds them at times[k], and m_g and m_e are scattered once, on first access.
+    kron(B.T, A).  About half the entries are the conjugates of others at
+    the transposed positions.  For a state, shape is (d, d): m_g[k] and
+    m_e[k] are M_g(t) rho and M_e(t) rho, and X_ij of outcome o sits at
+    o d^2 + i d + j.  Either form unpacks as times, m_g, m_e = branch.
     """
 
     prep: Preparation
@@ -156,16 +159,20 @@ class InstrumentBranch:
     d: int
     positions: np.ndarray
     entries: np.ndarray
-    m_g = property(lambda self: self._maps[:, : self.d**2])
-    m_e = property(lambda self: self._maps[:, self.d**2 :])
+    shape: tuple[int, int]
+    m_g = property(lambda self: self.dense[:, 0])
+    m_e = property(lambda self: self.dense[:, 1])
+
+    def __iter__(self):
+        return iter((self.times, self.m_g, self.m_e))
 
     @cached_property
-    def _maps(self) -> np.ndarray:
-        """(M_g; M_e) at each time, scattered one matrix at a time so that each write lands in the one being filled."""
-        maps = np.zeros((len(self.times), 2 * self.d**2, self.d**2), dtype=complex)
-        for dst, src in zip(maps.reshape(len(self.times), -1), self.entries):
+    def dense(self) -> np.ndarray:
+        """(M_g, M_e) at each time, (T, 2, *shape), scattered sample by sample so that each write lands in the one filled."""
+        dense = np.zeros((len(self.times), 2, *self.shape), dtype=complex)
+        for dst, src in zip(dense.reshape(len(self.times), -1), self.entries):
             dst[self.positions] = src
-        return maps
+        return dense
 
 
 def _slots(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -348,7 +355,7 @@ def integrate_instrument(
     """
     grid = _sample_steps(d, t_max, dt, stride)
     times, samples = _propagate_blocks(p, d, prep, np.eye(d), dt, grid, mode, slice(d // 2 + 1), (d - 1) // 2)
-    return InstrumentBranch(Preparation(prep), times, d, _positions(d), samples.reshape(len(times), -1))
+    return InstrumentBranch(Preparation(prep), times, d, _positions(d), samples.reshape(len(times), -1), (d * d, d * d))
 
 
 def conditional_trajectories(
@@ -360,17 +367,18 @@ def conditional_trajectories(
     dt: float,
     mode: TruncationMode = TruncationMode.ALGEBRAIC_CLOSURE,
     stride: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unnormalized conditional states (M_g rho, M_e rho) along the run.
+) -> InstrumentBranch:
+    """Unnormalized conditional states (M_g rho, M_e rho) along the run, as a state branch of shape (d, d).
 
     Same dynamics as :func:`integrate_instrument` applied to a fixed initial
     field state, propagating d x d matrices instead of full maps.  Only the
     coherence blocks that hold a nonzero entry of rho_f are propagated: the
-    generator never links blocks, so the others stay exactly 0 and are
-    returned as 0 without being integrated.  A diagonal state (Fock, mixed,
-    thermal) occupies block 0 alone.  An unoccupied block therefore never
-    raises DivergenceError, even where its own RK4 step would overflow.
-    Returns (times, y_g, y_e) with y_* of shape (T, d, d).  rho_f must be a
+    generator never links blocks, so the others stay exactly 0, and the
+    branch holds the live blocks' entries alone.  A diagonal state (Fock,
+    mixed, thermal) occupies block 0 alone, the diagonal slots.  An
+    unoccupied block therefore never raises DivergenceError, even where its
+    own RK4 step would overflow.  The branch unpacks as times, y_g, y_e
+    with y_* of shape (T, d, d), built on first access.  rho_f must be a
     density matrix; anything else raises InvalidStateError before
     integrating.
     """
@@ -383,8 +391,5 @@ def conditional_trajectories(
     live = np.flatnonzero(rho_f[i, j].any(axis=1))
     i = i[live]
     times, samples = _propagate_blocks(p, d, prep, rho_f[i, j, None], dt, grid, mode, live)
-    y_g, y_e = np.zeros((2, len(times), d, d), dtype=complex)
-    y_g[:, i, j] = samples[..., :d, 0]
-    y_e[:, i, j] = samples[..., d:, 0]
-    return times, y_g, y_e
-
+    positions = np.arange(2)[:, None] * d * d + (i * d + j)[:, None, :]  # (live, 2, d): g, then e slots
+    return InstrumentBranch(Preparation(prep), times, d, positions.ravel(), samples.reshape(len(times), -1), (d, d))

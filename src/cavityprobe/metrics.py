@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import InvalidStateError, check_density_matrix
-from .instrument import _number
+from .instrument import InstrumentBranch, _number
 
 __all__ = [
     "PositivityError",
@@ -113,12 +113,6 @@ def _root_sum(vals: np.ndarray):
     return fid if fid.ndim else float(fid)
 
 
-def _off_diagonal(a: np.ndarray) -> np.ndarray:
-    """The off-diagonal entries of each (d, d) matrix of a stack, as (..., d - 1, d); a view if a is C-ordered."""
-    lead, d = a.shape[:-2], a.shape[-1]
-    return a.reshape(*lead, d * d)[..., 1:].reshape(*lead, d - 1, d + 1)[..., :d]
-
-
 class MetricsRecord(NamedTuple):
     """Per-time-point metrics; fields for an outcome are None when its
     probability sits below the floor and the conditional state is undefined.
@@ -137,38 +131,36 @@ class MetricsRecord(NamedTuple):
     defined_e: bool
 
 
-def metrics_series(
-    times: np.ndarray,
-    y_g: np.ndarray,
-    y_e: np.ndarray,
-    rho_f: np.ndarray,
-    base: float = 2.0,
-) -> list[MetricsRecord]:
+def metrics_series(branch: InstrumentBranch, rho_f: np.ndarray, base: float = 2.0) -> list[MetricsRecord]:
     """Probability, information gain and fidelity at each time for the density matrix rho_f.
 
-    y_g and y_e are the unnormalized conditional states M_g(t) rho_f and
-    M_e(t) rho_f at `times`, as returned by conditional_trajectories.
-    times must be 1-D and real, checked before any state is read.
+    branch holds the unnormalized conditional states M_g(t) rho_f and
+    M_e(t) rho_f, as returned by conditional_trajectories; its states must
+    have rho_f's shape.  branch.times must be 1-D and real, checked before
+    any state is read.
     """
     base = _log_base(base)
-    times = np.asarray(times)
+    times = np.asarray(branch.times)
     if times.ndim != 1 or times.dtype.kind not in "iuf":
         raise ValueError(f"times must be a 1-D array of real numbers, got shape {times.shape} and dtype {times.dtype}")
     rho_f = np.asarray(rho_f, dtype=complex)
+    if branch.shape != rho_f.shape:
+        raise ValueError(f"branch states have shape {branch.shape}, but rho_f has shape {rho_f.shape}")
     check_density_matrix(rho_f)
-    y_g, y_e, shape = np.asarray(y_g), np.asarray(y_e), (len(times), *rho_f.shape)
-    for name, y in (("y_g", y_g), ("y_e", y_e)):
-        if y.shape != shape:
-            raise ValueError(f"y_g and y_e must have shape {shape}, got {y.shape} for {name}")
-    # Without coherence (every Fock or mixed input) only the (T, 2, d) diagonals are read; a nan is nonzero, so
-    # a non-finite off-diagonal entry takes the dense path.  C order first, so the rounding of every later step
-    # does not depend on the inputs' strides, and the diagonals' sums then reduce as np.trace does.
-    dense = any(np.any(_off_diagonal(a)) for a in (rho_f, y_g, y_e))
-    pair = (y_g, y_e) if dense else (y_g.diagonal(0, -2, -1), y_e.diagonal(0, -2, -1))
-    y = np.ascontiguousarray(np.stack(pair, axis=1))
-    if not np.isfinite(y).all():  # a nan trace would otherwise pass as an undefined outcome
+    if not np.isfinite(branch.entries).all():  # a nan trace would otherwise pass as an undefined outcome
         raise InvalidStateError("conditional states have a non-finite entry")
-    p = np.trace(y, axis1=-2, axis2=-1) if dense else y.sum(axis=-1)
+    # Without coherence (every Fock or mixed input) the branch holds only diagonal slots, and only the (T, 2, d)
+    # diagonals are read, in complex as np.trace of the dense states would sum them.
+    d = len(rho_f)
+    outcome, slot = np.divmod(branch.positions, d * d)
+    dense = np.any(slot % (d + 1)) or np.any(rho_f[~np.eye(d, dtype=bool)])
+    if dense:
+        y = branch.dense
+        p = np.trace(y, axis1=-2, axis2=-1)
+    else:
+        y = np.zeros((len(times), 2, d), dtype=complex)
+        y.reshape(len(times), -1)[:, outcome * d + slot // (d + 1)] = branch.entries
+        p = y.sum(axis=-1)
     if np.any(np.abs(p.imag) >= 1e-10):
         raise PositivityError(f"outcome probability has imaginary part {np.abs(p.imag).max():.3e}")
     p = p.real

@@ -158,7 +158,7 @@ def extract_instrument_oracle(
     entries[:, :half] = samples[:, np.arange(half)[:, None], read[1].reshape(d, 2 * d)[:half]]
     np.conjugate(entries[:, d - half : 0 : -1], out=entries[:, half:])
     positions = (atom * d * d + field)[read][:, None] * (d * d) + field[start].reshape(d, d)[read[0]]
-    return InstrumentBranch(prep, times, d, positions.ravel(), entries.reshape(len(times), -1))
+    return InstrumentBranch(prep, times, d, positions.ravel(), entries.reshape(len(times), -1), (d * d, d * d))
 
 
 def secular_residual(

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from cavityprobe.instrument import _slots
+from cavityprobe.instrument import InstrumentBranch, Preparation, _slots
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -26,6 +26,13 @@ def unvec(v: np.ndarray) -> np.ndarray:
 def apply_superop(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The image of the operator x under the d^2 x d^2 map matrix s."""
     return unvec(s @ vec(x))
+
+
+def state_branch(times, y_g, y_e) -> InstrumentBranch:
+    """A ground-pointer state branch that holds all d^2 slots of the hand-made (T, d, d) states y_g and y_e."""
+    y = np.stack((y_g, y_e), axis=1)
+    d = y.shape[-1]
+    return InstrumentBranch(Preparation.GROUND, np.asarray(times), d, np.arange(2 * d * d), y.reshape(len(y), -1), (d, d))
 
 
 def choi_matrix(s: np.ndarray) -> np.ndarray:

@@ -85,7 +85,7 @@ def test_criterion_2_identity_at_time_zero():
         for prep in (Preparation.GROUND, Preparation.EXCITED):
             for rho in (maximally_mixed(4), fock_state(6, 5)):
                 d = rho.shape[0]
-                rec = metrics_series(*conditional_trajectories(preset, d, prep, rho, 0.1, 0.01, stride=10), rho)[0]
+                rec = metrics_series(conditional_trajectories(preset, d, prep, rho, 0.1, 0.01, stride=10), rho)[0]
                 label = "g" if prep is Preparation.GROUND else "e"
                 p = getattr(rec, f"p_{label}")
                 gain = getattr(rec, f"i_{label}")

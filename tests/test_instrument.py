@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,16 @@ from cavityprobe.instrument import (
 )
 from cavityprobe.metrics import PositivityError, metrics_series
 from cavityprobe.oracle import extract_instrument_oracle, secular_residual
-from dense_ops import _dense, _sandwich_superop, apply_superop, block_choi_certificate, choi_matrix, unvec, vec
+from dense_ops import (
+    _dense,
+    _sandwich_superop,
+    apply_superop,
+    block_choi_certificate,
+    choi_matrix,
+    state_branch,
+    unvec,
+    vec,
+)
 from cavityprobe.fock import annihilation_op, quadratic_ops
 
 STRONG = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
@@ -215,11 +225,11 @@ class TestDenseScatter:
 
     @pytest.mark.parametrize("solve", [integrate_instrument, extract_instrument_oracle], ids=["reduced", "oracle"])
     def test_maps_are_scattered_once_on_first_read(self, solve):
-        """m_g and m_e are views of one (M_g; M_e) stack, scattered on the first read and kept."""
+        """m_g and m_e are views of one (M_g, M_e) stack, scattered on the first read and kept."""
         branch = solve(SLOW, 3, Preparation.GROUND, 0.1, 0.01)
-        assert "_maps" not in vars(branch)
+        assert "dense" not in vars(branch)
         m_g = branch.m_g
-        stack = vars(branch)["_maps"]
+        stack = vars(branch)["dense"]
         assert m_g.base is stack and branch.m_e.base is stack and branch.m_g.base is stack
 
 
@@ -278,7 +288,7 @@ class TestIntegration:
         """Per sample and outcome, to 1e-12; also for the negated maps, whose Choi matrices are far from PSD."""
         for p, prep, mode in itertools.product((STRONG, WEAK), Preparation, TruncationMode):
             branch = integrate_instrument(p, d, prep, 10.0, 0.01, mode, stride=20)
-            negated = InstrumentBranch(prep, branch.times, d, branch.positions, -branch.entries)
+            negated = replace(branch, entries=-branch.entries)
             for b in (branch, negated):
                 choi = np.array([[choi_matrix(m) for m in maps] for maps in (b.m_g, b.m_e)]).swapaxes(0, 1)
                 adjoint = choi.conj().swapaxes(-1, -2)
@@ -292,7 +302,7 @@ class TestIntegration:
         entries = branch.entries.copy()
         entries[:, branch.positions == 1 * 4 + 2] = 1e-300  # <1|M_g(|0><1|)|0>: order -1 in, order 1 out
         with pytest.raises(AssertionError, match="linking two coherence orders"):
-            block_choi_certificate(InstrumentBranch(Preparation.GROUND, branch.times, 2, branch.positions, entries))
+            block_choi_certificate(replace(branch, entries=entries))
 
     def test_initial_slope_matches_field_rate_law(self):
         """dP_g/dt at t=0 equals -(field_rate * nbar + gamma_ge), the trace of
@@ -317,7 +327,7 @@ class TestIntegration:
         rho = fock_state(4, 2)
         records = []
         for p in (STRONG, other):
-            records.append(metrics_series(*conditional_trajectories(p, 4, Preparation.GROUND, rho, 3.0, 0.01, stride=30), rho))
+            records.append(metrics_series(conditional_trajectories(p, 4, Preparation.GROUND, rho, 3.0, 0.01, stride=30), rho))
         for rec_a, rec_b in zip(*records):
             for name in ("p_g", "p_e", "i_g", "f_g", "s_g"):
                 va, vb = getattr(rec_a, name), getattr(rec_b, name)
@@ -357,25 +367,50 @@ class TestIntegration:
     def test_propagates_only_the_occupied_blocks(self, kernel_calls):
         """A state is propagated on the coherence blocks it occupies, the maps on blocks 0 .. d // 2.
 
-        The maps' other blocks are the mirrors of those, so their entries still
-        cover all d.  A diagonal state runs in real arithmetic, a state with
-        coherences and the detuned maps in complex; the outputs are complex128
-        either way."""
+        A state branch holds the entries of its live blocks alone, at
+        o d^2 + i d + j for X_ij of outcome o, and its m_g and m_e fill the
+        rest with 0.  The maps' other blocks are the mirrors of those, so their
+        entries still cover all d.  A diagonal state runs in real arithmetic,
+        a state with coherences and the detuned maps in complex; the dense
+        outputs are complex128 either way."""
         d = 5
-        for rho, blocks, dtype in (
-            (fock_state(d, 2), 1, np.float64),
-            (maximally_mixed(d), 1, np.float64),
-            (rand_density(np.random.default_rng(3), d), d, np.complex128),
+        i, j = _slots(d)
+        for rho, live, dtype in (
+            (fock_state(d, 2), [0], np.float64),
+            (maximally_mixed(d), [0], np.float64),
+            (maximally_mixed(d) + 0.01 * (np.eye(d, k=2) + np.eye(d, k=-2)), [0, 2, 3], np.complex128),
+            (rand_density(np.random.default_rng(3), d), range(d), np.complex128),
         ):
             kernel_calls.clear()
-            _, y_g, y_e = conditional_trajectories(STRONG, d, Preparation.GROUND, rho, 0.1, 0.01)
-            assert kernel_calls == [(blocks, dtype)]
-            assert y_g.dtype == y_e.dtype == np.complex128
+            branch = conditional_trajectories(STRONG, d, Preparation.GROUND, rho, 0.1, 0.01)
+            assert kernel_calls == [(len(live), dtype)]
+            assert branch.shape == (d, d) and branch.entries.shape == (len(branch.times), 2 * d * len(live))
+            expected = [o * d * d + (s + b) % d * d + s for b in live for o in (0, 1) for s in range(d)]
+            assert branch.positions.tolist() == expected
+            times, y_g, y_e = branch
+            assert y_g.dtype == y_e.dtype == np.complex128 and y_g.shape == (len(times), d, d)
+            held = np.zeros((d, d), dtype=bool)
+            held[i[live], j] = True
+            assert np.array_equal(y_g[0], rho) and not np.any(y_g[:, ~held]) and not np.any(y_e[:, ~held])
         kernel_calls.clear()
         branch = integrate_instrument(STRONG, d, Preparation.GROUND, 0.1, 0.01)
         assert kernel_calls == [(3, np.complex128)]
-        assert branch.entries.shape == (len(branch.times), 2 * d**3)
+        assert branch.shape == (d * d, d * d) and branch.entries.shape == (len(branch.times), 2 * d**3)
         assert branch.m_g.dtype == branch.m_e.dtype == np.complex128
+
+    def test_a_large_mixed_run_never_builds_the_dense_states(self):
+        """metrics_series reads a diagonal branch's entries, so the traced peak of a mixed run at d = 160 stays below
+        one dense (T, d, d) complex stack (41 MB), and m_g is never built."""
+        d, rho = 160, maximally_mixed(160)
+        tracemalloc.start()
+        try:
+            branch = conditional_trajectories(STRONG, d, Preparation.GROUND, rho, 10.0, 0.01, stride=10)
+            metrics_series(branch, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(branch.times) * d * d * np.dtype(complex).itemsize
+        assert "dense" not in vars(branch)
 
     def test_resonant_maps_run_real_and_the_oracle_complex(self, kernel_calls):
         """At delta = 0 the maps' generator is real; the oracle's -iH never is.  Both return complex128.
@@ -473,7 +508,7 @@ class TestIntegration:
         rho = maximally_mixed(4)
         for run in (
             lambda t_max: integrate_instrument(unstable, 4, Preparation.GROUND, t_max, 0.01, stride=10).m_g,
-            lambda t_max: conditional_trajectories(unstable, 4, Preparation.GROUND, rho, t_max, 0.01, stride=10)[1],
+            lambda t_max: conditional_trajectories(unstable, 4, Preparation.GROUND, rho, t_max, 0.01, stride=10).m_g,
         ):
             with pytest.raises(DivergenceError) as err:
                 run(3.0)
@@ -697,7 +732,7 @@ class TestConditionalState:
     def record(m, rho):
         """The t = 0 record whose g outcome holds apply_superop(m, rho) and whose e outcome is empty."""
         y = apply_superop(m, rho)[None]
-        return metrics_series(np.zeros(1), y, np.zeros_like(y), rho)[0]
+        return metrics_series(state_branch(np.zeros(1), y, np.zeros_like(y)), rho)[0]
 
     def test_identity_map_returns_input(self):
         rec = self.record(np.eye(9), maximally_mixed(3))

@@ -1,10 +1,11 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cavityprobe.fock import InvalidStateError, fock_state, maximally_mixed
-from cavityprobe.instrument import ModelParams, Preparation, conditional_trajectories
+from cavityprobe.instrument import ModelParams, Preparation, conditional_trajectories, integrate_instrument
 from cavityprobe.metrics import (
     PositivityError,
     metrics_series,
@@ -12,6 +13,7 @@ from cavityprobe.metrics import (
     uhlmann_fidelity,
     von_neumann_entropy,
 )
+from dense_ops import state_branch
 
 STRONG = ModelParams(omega=0.7, delta=0.5, gamma_big=2.0, gamma_ge=0.1, gamma_eg=1.0)
 
@@ -45,9 +47,9 @@ class TestEntropy:
     def test_rejects_log_bases_without_a_finite_logarithm(self, base):
         with pytest.raises(ValueError, match="log base"):
             von_neumann_entropy(maximally_mixed(2), base=base)
-        times, y_g, y_e = conditional_trajectories(STRONG, 2, Preparation.GROUND, maximally_mixed(2), 0.1, 0.01)
+        branch = conditional_trajectories(STRONG, 2, Preparation.GROUND, maximally_mixed(2), 0.1, 0.01)
         with pytest.raises(ValueError, match="log base"):
-            metrics_series(times, y_g, y_e, maximally_mixed(2), base=base)
+            metrics_series(branch, maximally_mixed(2), base=base)
 
     def test_entropy_bounds_on_random_states(self):
         rng = np.random.default_rng(50)
@@ -144,7 +146,7 @@ def test_non_square_input_names_the_required_shape(call, shape):
 class TestMetricsSeries:
     def test_time_zero_record_ground_prep(self):
         rho = maximally_mixed(3)
-        rec = metrics_series(*conditional_trajectories(STRONG, 3, Preparation.GROUND, rho, 1.0, 0.01, stride=10), rho)[0]
+        rec = metrics_series(conditional_trajectories(STRONG, 3, Preparation.GROUND, rho, 1.0, 0.01, stride=10), rho)[0]
         assert rec.t == 0.0
         assert rec.p_g == pytest.approx(1.0, abs=1e-10)
         assert rec.i_g == pytest.approx(0.0, abs=1e-10)
@@ -155,7 +157,7 @@ class TestMetricsSeries:
 
     def test_pure_initial_state_never_gains_information(self):
         rho = fock_state(4, 3)
-        records = metrics_series(*conditional_trajectories(STRONG, 4, Preparation.GROUND, rho, 5.0, 0.01, stride=25), rho)
+        records = metrics_series(conditional_trajectories(STRONG, 4, Preparation.GROUND, rho, 5.0, 0.01, stride=25), rho)
         for rec in records:
             for gain in (rec.i_g, rec.i_e):
                 if gain is not None:
@@ -164,7 +166,7 @@ class TestMetricsSeries:
     def test_mixed_initial_state_gain_equals_entropy_drop(self):
         d = 4
         rho = maximally_mixed(d)
-        records = metrics_series(*conditional_trajectories(STRONG, d, Preparation.GROUND, rho, 3.0, 0.01, stride=30), rho)
+        records = metrics_series(conditional_trajectories(STRONG, d, Preparation.GROUND, rho, 3.0, 0.01, stride=30), rho)
         for rec in records:
             for gain, entropy in ((rec.i_g, rec.s_g), (rec.i_e, rec.s_e)):
                 if gain is not None:
@@ -172,29 +174,43 @@ class TestMetricsSeries:
 
     def test_rejects_non_density_input(self):
         # Hermitian part is a valid state, so only the entry check catches it
-        trajectories = conditional_trajectories(STRONG, 2, Preparation.GROUND, maximally_mixed(2), 0.1, 0.01)
+        branch = conditional_trajectories(STRONG, 2, Preparation.GROUND, maximally_mixed(2), 0.1, 0.01)
         with pytest.raises(InvalidStateError, match="Hermitian"):
-            metrics_series(*trajectories, np.array([[0.5, 0.1j], [0.1j, 0.5]]))
+            metrics_series(branch, np.array([[0.5, 0.1j], [0.1j, 0.5]]))
 
     def test_rejects_mismatched_shapes_and_imaginary_trace(self):
+        """An imaginary trace is refused on both paths: a branch of block 0's slots and one of all d^2 slots."""
         rho = maximally_mixed(2)
-        times, y_g, y_e = conditional_trajectories(STRONG, 2, Preparation.GROUND, rho, 0.1, 0.01)
-        with pytest.raises(ValueError, match=r"y_g and y_e must have shape \(10, 2, 2\), got \(11, 2, 2\) for y_g"):
-            metrics_series(times[:-1], y_g, y_e, rho)
-        with pytest.raises(ValueError, match=r"y_g and y_e must have shape \(11, 2, 2\), got \(11, 1, 2\) for y_e"):
-            metrics_series(times, y_g, y_e[:, :1], rho)
+        branch = conditional_trajectories(STRONG, 2, Preparation.GROUND, rho, 0.1, 0.01)
+        times, y_g, y_e = branch
+        with pytest.raises(ValueError, match=re.escape("branch states have shape (2, 2), but rho_f has shape (3, 3)")):
+            metrics_series(state_branch(times, y_g, y_e), maximally_mixed(3))
         y_e[-1] += 1e-6j * np.eye(2)
-        with pytest.raises(PositivityError, match="imaginary part"):
-            metrics_series(times, y_g, y_e, rho)
+        shifted = branch.entries + 0j
+        shifted[-1, 2:] += 1e-6j  # the e slots of block 0, the diagonal
+        for imaginary in (state_branch(times, y_g, y_e), replace(branch, entries=shifted)):
+            with pytest.raises(PositivityError, match="imaginary part"):
+                metrics_series(imaginary, rho)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: conditional_trajectories(STRONG, 2, Preparation.GROUND, maximally_mixed(2), 0.1, 0.01),
+         "branch states have shape (2, 2), but rho_f has shape (3, 3)"),
+        (lambda: integrate_instrument(STRONG, 3, Preparation.GROUND, 0.1, 0.01),
+         "branch states have shape (9, 9), but rho_f has shape (3, 3)"),
+    ], ids=["state-of-another-d", "maps"])
+    def test_rejects_a_branch_whose_states_do_not_match_rho_f(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            metrics_series(make(), maximally_mixed(3))
 
     @pytest.mark.parametrize("times", [np.zeros((1, 1)), np.array([0j]), np.array([True]), np.array(["0"])],
                              ids=["2-D", "complex", "bool", "str"])
     def test_rejects_times_that_are_not_a_real_vector(self, times):
         """times is checked before any state is read, so a run whose states fit its length is refused too."""
         y = np.ones((1, 1, 1))
-        for states in ((y, y, np.eye(1)), (None, None, None)):
+        branch = state_branch(times, y, y)
+        for bad in (branch, replace(branch, positions=None, entries=None)):
             with pytest.raises(ValueError, match=r"times must be a 1-D array of real numbers, got shape \(1,"):
-                metrics_series(times, *states)
+                metrics_series(bad, np.eye(1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "coherence"])
@@ -204,25 +220,21 @@ class TestMetricsSeries:
         times, y_g, y_e = conditional_trajectories(STRONG, 2, Preparation.GROUND, rho, 0.1, 0.01)
         y_e[-1][entry] = bad
         with pytest.raises(InvalidStateError, match="non-finite"):
-            metrics_series(times, y_g, y_e, rho)
+            metrics_series(state_branch(times, y_g, y_e), rho)
 
     def test_probabilities_lie_in_unit_interval(self):
         rho = maximally_mixed(3)
-        for rec in metrics_series(*conditional_trajectories(STRONG, 3, Preparation.EXCITED, rho, 8.0, 0.01, stride=40), rho):
+        for rec in metrics_series(conditional_trajectories(STRONG, 3, Preparation.EXCITED, rho, 8.0, 0.01, stride=40), rho):
             assert -1e-12 <= rec.p_g <= 1 + 1e-9
             assert -1e-12 <= rec.p_e <= 1 + 1e-9
 
     def test_records_do_not_depend_on_input_strides(self):
-        rho = maximally_mixed(4)
-        times, y_g, y_e = conditional_trajectories(STRONG, 4, Preparation.GROUND, rho, 10.0, 0.01, stride=10)
-
-        def time_innermost(y):
-            out = np.moveaxis(np.ascontiguousarray(np.moveaxis(y, 0, -1)), -1, 0)
-            assert np.array_equal(out, y) and out.strides[0] == out.itemsize
-            return out
-
-        assert metrics_series(times, time_innermost(y_g), time_innermost(y_e), rho) == \
-            metrics_series(times, y_g, y_e, rho)
+        """On the diagonal and the dense path alike, entries stored time-innermost give the same records."""
+        for rho in (maximally_mixed(4), rand_density(np.random.default_rng(65), 4)):
+            branch = conditional_trajectories(STRONG, 4, Preparation.GROUND, rho, 10.0, 0.01, stride=10)
+            time_innermost = np.asfortranarray(branch.entries)
+            assert time_innermost.strides[0] == time_innermost.itemsize
+            assert metrics_series(replace(branch, entries=time_innermost), rho) == metrics_series(branch, rho)
 
     @staticmethod
     def count_decompositions(monkeypatch):
@@ -248,7 +260,7 @@ class TestMetricsSeries:
         first.  Only the square root of rho_f needs eigenvectors."""
         decomposed, with_vectors = self.count_decompositions(monkeypatch)
         rho = rand_density(np.random.default_rng(64), 3)
-        records = metrics_series(*conditional_trajectories(STRONG, 3, Preparation.GROUND, rho, 2.0, 0.01, stride=20), rho)
+        records = metrics_series(conditional_trajectories(STRONG, 3, Preparation.GROUND, rho, 2.0, 0.01, stride=20), rho)
         states = sum(rec.defined_g + rec.defined_e for rec in records)
         # plus one decomposition of rho_f for its entropy and one for its square root
         assert sum(decomposed) + sum(with_vectors) == 2 * states + 2
@@ -258,35 +270,45 @@ class TestMetricsSeries:
     def test_diagonal_states_are_never_decomposed(self, monkeypatch, d, rho):
         """A state without coherences keeps none, so its spectra are read from its diagonals."""
         decomposed, with_vectors = self.count_decompositions(monkeypatch)
-        records = metrics_series(*conditional_trajectories(STRONG, d, Preparation.GROUND, rho, 2.0, 0.01, stride=20), rho)
+        records = metrics_series(conditional_trajectories(STRONG, d, Preparation.GROUND, rho, 2.0, 0.01, stride=20), rho)
         assert any(rec.defined_g for rec in records) and any(rec.defined_e for rec in records)
         assert decomposed == [] and with_vectors == []
 
     def test_coherent_initial_state_takes_the_dense_path(self, monkeypatch):
-        """Diagonal conditional states do not make the metrics diagonal while rho_f has a coherence."""
-        times, y_g, y_e = conditional_trajectories(STRONG, 3, Preparation.GROUND, maximally_mixed(3), 1.0, 0.01, stride=50)
+        """The path follows the positions, not the values: diagonal slots take the diagonal path unless rho_f has a
+        coherence, and a branch that holds the off-diagonal slots takes the dense path even where they are 0."""
+        branch = conditional_trajectories(STRONG, 3, Preparation.GROUND, maximally_mixed(3), 1.0, 0.01, stride=50)
+        assert np.array_equal(branch.positions, [0, 4, 8, 9, 13, 17])  # o d^2 + i d + i, g then e
         coherent = maximally_mixed(3) + 0.1 * (np.eye(3, k=1) + np.eye(3, k=-1))
         decomposed, with_vectors = self.count_decompositions(monkeypatch)
-        metrics_series(times, y_g, y_e, coherent)
-        assert with_vectors == [1] and decomposed
+        for states, rho, dense in ((branch, coherent, True), (state_branch(*branch), maximally_mixed(3), True),
+                                   (branch, maximally_mixed(3), False)):
+            decomposed.clear()
+            with_vectors.clear()
+            metrics_series(states, rho)
+            assert with_vectors == ([1] if dense else []) and bool(decomposed) == dense
 
     def test_diagonal_path_sums_probabilities_as_the_trace_does(self):
-        """Only the diagonals are read, and their sums round as np.trace of the whole states (d >= 8 sums pairwise)."""
+        """Only block 0's entries are read, in complex, and their sums round as np.trace of the dense states
+        (d >= 8 sums pairwise).  The run is real, so a float64 sum would round differently."""
         rho = maximally_mixed(20)
-        times, y_g, y_e = conditional_trajectories(STRONG, 20, Preparation.EXCITED, rho, 2.0, 0.01, stride=20)
-        records = metrics_series(times, y_g, y_e, rho)
-        assert [rec.p_g for rec in records] == np.trace(y_g, axis1=1, axis2=2).real.tolist()
-        assert [rec.p_e for rec in records] == np.trace(y_e, axis1=1, axis2=2).real.tolist()
+        branch = conditional_trajectories(STRONG, 20, Preparation.EXCITED, rho, 2.0, 0.01, stride=20)
+        assert branch.entries.shape == (len(branch.times), 40) and branch.entries.dtype == np.float64
+        records = metrics_series(branch, rho)
+        assert "dense" not in vars(branch)
+        assert [rec.p_g for rec in records] == np.trace(branch.m_g, axis1=1, axis2=2).real.tolist()
+        assert [rec.p_e for rec in records] == np.trace(branch.m_e, axis1=1, axis2=2).real.tolist()
 
     def test_diagonal_path_rejects_negative_populations_as_the_dense_path_does(self, monkeypatch):
         """A population below -1e-8 p gives the dense path's eigenvalue message, with no decomposition."""
         y_g = np.diag([0.5 + 1e-6, -1e-6, 0.0]).astype(complex)[None]  # p_g = 0.5, so the state has -2e-6
-        y_e = np.zeros_like(y_g)
-        coherent = maximally_mixed(3) + 0.1 * (np.eye(3, k=1) + np.eye(3, k=-1))
+        full = state_branch([0.0], y_g, np.zeros_like(y_g))
         with pytest.raises(InvalidStateError, match="eigenvalue -2.000e-06 below") as dense:
-            metrics_series([0.0], y_g, y_e, coherent)
+            metrics_series(full, maximally_mixed(3))
+        on_diagonal = np.isin(full.positions % 9, (0, 4, 8))
+        diagonal = replace(full, positions=full.positions[on_diagonal], entries=full.entries[:, on_diagonal])
         decomposed, with_vectors = self.count_decompositions(monkeypatch)
-        with pytest.raises(InvalidStateError) as diagonal:
-            metrics_series([0.0], y_g, y_e, maximally_mixed(3))
-        assert str(diagonal.value) == str(dense.value)
+        with pytest.raises(InvalidStateError) as raised:
+            metrics_series(diagonal, maximally_mixed(3))
+        assert str(raised.value) == str(dense.value)
         assert decomposed == [] and with_vectors == []

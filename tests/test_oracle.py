@@ -455,7 +455,7 @@ def test_residual_compares_an_entry_one_branch_holds_against_zero(monkeypatch, j
     phase = np.exp(1j * np.random.default_rng(7).uniform(0.0, 2 * np.pi, 32))
     def branch(held):
         held = np.array(held)
-        return InstrumentBranch(Preparation.GROUND, times, 2, held, (1 + times[:, None]) * (held + 1) * phase[held])
+        return InstrumentBranch(Preparation.GROUND, times, 2, held, (1 + times[:, None]) * (held + 1) * phase[held], (4, 4))
     joint, reduced = branch(joint_held), branch(reduced_held)
     monkeypatch.setattr("cavityprobe.oracle.extract_instrument_oracle", lambda *args: joint)
     monkeypatch.setattr("cavityprobe.oracle.integrate_instrument", lambda *args: reduced)
@@ -472,7 +472,7 @@ def test_residual_compares_an_entry_one_branch_holds_against_zero(monkeypatch, j
 def test_residual_builds_no_dense_map(monkeypatch):
     def refuse(branch):
         raise AssertionError("a dense map stack was built")
-    monkeypatch.setattr(InstrumentBranch, "_maps", property(refuse))
+    monkeypatch.setattr(InstrumentBranch, "dense", property(refuse))
     residual = secular_residual(STRONG, 3, Preparation.GROUND, 0.5, 0.005, stride=20)
     assert 0 < residual["g"] < 1 and 0 < residual["e"] < 1
 

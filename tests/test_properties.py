@@ -173,7 +173,7 @@ def test_batched_metrics_match_per_sample_reference(p, prep, base, data):
     """Diagonal inputs take metrics_series' closed forms; the reference decomposes every state."""
     d = data.draw(st.integers(1, 4))
     rho = data.draw(st.one_of(density_matrices(d), diagonal_states(d)))
-    records = metrics_series(*conditional_trajectories(p, d, prep, rho, T_MAX, DT, stride=STRIDE), rho, base)
+    records = metrics_series(conditional_trajectories(p, d, prep, rho, T_MAX, DT, stride=STRIDE), rho, base)
     reference = reference_metrics(integrate_instrument(p, d, prep, T_MAX, DT, stride=STRIDE), rho, base)
     assert len(records) == len(reference)
     for rec, ref in zip(records, reference):
