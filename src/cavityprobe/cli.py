@@ -87,10 +87,7 @@ class RunConfig:
     preset: str | None = None
 
     def model_params(self) -> ModelParams:
-        return ModelParams(
-            omega=self.omega, delta=self.delta, gamma_big=self.gamma_big,
-            gamma_ge=self.gamma_ge, gamma_eg=self.gamma_eg,
-        )
+        return ModelParams(**{key: getattr(self, key) for key in _RATE_KEYS})
 
     def initial_density(self) -> np.ndarray:
         if self.initial_state == "mixed":
@@ -203,13 +200,8 @@ def _config_from(raw: dict) -> RunConfig:
 
 
 def config_warnings(config: RunConfig) -> list[str]:
-    out = []
-    if config.omega > 0 and config.gamma_big / config.omega < 5:
-        out.append(
-            "secular approximation questionable: gamma_big/omega = "
-            f"{config.gamma_big / config.omega:.3g} < 5"
-        )
-    return out
+    ratio = config.gamma_big / config.omega if config.omega > 0 else math.inf
+    return [f"secular approximation questionable: gamma_big/omega = {ratio:.3g} < 5"] if ratio < 5 else []
 
 
 def _column_cells(values: tuple) -> list[str]:
@@ -431,8 +423,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             stride=config.stride * refine, mode=config.truncation,
         )
         print(f"secular residual vs joint model (dt={config.dt / refine:g}):")
-        print(f"  outcome g: {residual['g']:.6e}")
-        print(f"  outcome e: {residual['e']:.6e}")
+        for outcome in ("g", "e"):
+            print(f"  outcome {outcome}: {residual[outcome]:.6e}")
     return 0
 
 

@@ -95,7 +95,8 @@ def check_density_matrix(rho: np.ndarray) -> None:
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm >= 1e-12:
         raise InvalidStateError(f"matrix is not Hermitian (max deviation {herm:.3e})")
-    low = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
+    diagonal = np.count_nonzero(rho) == np.count_nonzero(rho.diagonal())  # then eigvalsh returns the real diagonal
+    low = (rho.diagonal().real if diagonal else np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))).min()
     if low < -1e-10:
         raise InvalidStateError(f"matrix is not positive semidefinite (min eigenvalue {low:.3e})")
     tr_err = abs(np.trace(rho) - 1.0)

@@ -142,9 +142,9 @@ class InstrumentBranch:
     """Time series of the outcome maps, or of one conditional state, for one pointer preparation.
 
     A solver computes only some entries of the dense pair (M_g, M_e) of
-    shape (2, *shape): entries[k] holds them at times[k], at the row-major
-    flat `positions` of that pair, and m_g and m_e are scattered once, on
-    first access.  For maps, shape is (d^2, d^2): m_g[k] and m_e[k] take the
+    shape (2, *shape): entries[k], of shape positions.shape, holds them at
+    times[k], at the row-major flat `positions` of that pair, and m_g and
+    m_e are scattered once, on first access.  For maps, shape is (d^2, d^2): m_g[k] and m_e[k] take the
     initial field state to the unnormalized conditional state for ground /
     excited readout at times[k].  They act on column-stacked operators:
     X[i, j] sits at vec position i + d j, so the map X -> A X B has matrix
@@ -182,11 +182,12 @@ def _slots(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _positions(d: int) -> np.ndarray:
-    """Flat positions in (M_g; M_e) of the (d, 2d, d) map blocks: rows the g, then e slots of a block, columns its slots."""
+    """Flat positions in (M_g; M_e) of the maps' entries, (d, 2 d^2): block by block, column by column, the g and
+    then the e slots of each column."""
     i, j = _slots(d)
     position = i + d * j
     position[d // 2 + 1 :] = (j + d * i)[(d - 1) // 2 : 0 : -1]  # block t > d // 2: X_ji for block d - t's X_ij
-    return (np.hstack((position, d * d + position))[:, :, None] * (d * d) + position[:, None, :]).ravel()
+    return (np.hstack((position, d * d + position))[:, None, :] * (d * d) + position[:, :, None]).reshape(d, -1)
 
 
 def build_block_generator(
@@ -232,7 +233,7 @@ def build_block_generator(
 
 
 _MAX_ENTRIES = np.iinfo(np.intp).max // 16  # complex entries in numpy's largest array
-# Largest stack squaring, in real multiply-adds (complex x4), that sampling by doubling pays for; maps at d = 20 lost 8%.
+# Largest stack squaring, in real multiply-adds (complex x4) per propagated column, that sampling by doubling pays for.
 _DOUBLING_MADDS = 2**18
 
 
@@ -244,7 +245,7 @@ def _sample_steps(d: int, t_max: float, dt: float, stride: int) -> range:
     size dt, and stride a positive integer.  The run samples range(0,
     n_steps, stride) and then step n_steps, the range's stop.  The
     one-state arrays, the (d, 2d, 2d) block generator and the
-    (samples, d, 2d) state buffer, must each fit one numpy array.  All of
+    (d, samples, 2d) state buffer, must each fit one numpy array.  All of
     this is arithmetic: no array is allocated, and len() counts a huge grid.
     """
     _check_dimension(d)
@@ -269,49 +270,51 @@ def _sample_steps(d: int, t_max: float, dt: float, stride: int) -> range:
 def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, dt: float, grid: range, mirrored: int = 0):
     """Fixed-step RK4 on d/dt y = matrix @ y, sampled at each step of grid and at its final step grid.stop.
 
-    One step is P(M) = I + M (I + M (I + M (I + M/4)/3)/2) with M = dt
-    matrix, the degree-4 Taylor polynomial that is classical RK4 for a
-    constant generator, so c steps are exactly P^c.  P is formed once, its
-    power once for each distinct gap between samples (grid.step, and the
-    remainder that ends at grid.stop), and each sample costs one product, or, where squaring is cheap
-    and while Q = P^(grid.step s) is finite, one product takes samples 0 .. s - 1 by Q to s .. 2s - 1.
-    matrix may be a (..., n, n) stack with state0 (..., n, k); products
-    broadcast over the stack.  The run is real, at a quarter of the complex
-    flops, when neither matrix nor state0 has a nonzero imaginary part (a
-    diagonal state on block 0, the maps at delta = 0), and complex
-    otherwise.  Samples are written once, each into its slot of one
-    preallocated array.  Returns (times, samples); the run goes to its
-    horizon and then raises DivergenceError at the first non-finite sample.
-    With mirrored = m, samples hold m blocks after the n of state0, written
-    in place as the conjugates of blocks m .. 1.
+    One step is P(M) = I + M (I + M (I + M (I + M/4)/3)/2) with M = dt matrix, the degree-4 Taylor polynomial
+    that is classical RK4 for a constant generator, so c steps are exactly P^c.  P is formed once, its power
+    once for each distinct gap between samples (grid.step, and the remainder that ends at grid.stop), and each
+    sample costs one product, or, where squaring is cheap and while Q = P^(grid.step s) is finite, one product
+    per block takes samples 0 .. s - 1 by Q to s .. 2s - 1.
+    matrix is a (B, n, n) stack and state0 its (B, k, n) rows, each a column y that a step takes to y P^T,
+    or a bare (n, n) matrix and (k, n) rows.  The run is real, at a quarter of the complex flops, when
+    neither matrix nor state0 has a nonzero imaginary part (a diagonal state on block 0, the maps at
+    delta = 0), and complex otherwise.  Samples are written once into one block-major (B + mirrored, T, k, n)
+    buffer, so that block b's are the rows of one (T k, n) matrix.  Returns (times, samples), samples its
+    (T, B + mirrored, k, n) view; the run goes to its horizon and then raises DivergenceError at the first
+    non-finite sample.  Blocks B .. B + mirrored - 1 are written in place as the conjugates of blocks mirrored .. 1.
     """
+    if matrix.ndim == 2:  # a bare matrix is a stack of one block
+        times, samples = _rk4_sampled(matrix[None], state0[None], dt, grid)
+        return times, samples[:, 0]
     dt = float(dt)  # numpy cannot convert an integer dt beyond int64
     steps = np.array([*grid, grid.stop])
     gaps = np.diff(steps)
     real = not (np.any(matrix.imag) or np.any(state0.imag))
     m = dt * (matrix.real if real else matrix)
-    eye = np.eye(m.shape[-1])
-    samples = np.empty((len(steps), len(state0) + mirrored, *state0.shape[1:]), dtype=float if real else complex)
-    propagated = samples[:, : len(state0)]
-    propagated[0] = state0.real if real else state0
+    blocks, k, n = state0.shape
+    eye = np.eye(n)
+    buffer = np.empty((blocks + mirrored, len(steps), k, n), dtype=float if real else complex)
+    propagated = buffer[:blocks]
+    rows = propagated.reshape(blocks, -1, n)  # block b's samples as the rows of one (T k, n) matrix
+    propagated[:, 0] = state0.real if real else state0
     with np.errstate(over="ignore", invalid="ignore"):
         step = eye + m @ (eye + m @ (eye + m @ (eye + m / 4) / 3) / 2)
         powers = {gap: np.linalg.matrix_power(step, gap) for gap in {gaps[0], gaps[-1]}}
         power, span = powers[gaps[0]], 1
-        end = len(gaps) if m.size * len(eye) * (1 if real else 4) <= _DOUBLING_MADDS else 1
+        end = len(gaps) if m.size * n * (1 if real else 4) <= _DOUBLING_MADDS * k else 1
         while span < end and np.isfinite(power).all():  # P^(gap span) takes samples :span to span:2 span
             take = min(span, end - span)
-            np.matmul(power, propagated[:take], out=propagated[span : span + take])
+            np.matmul(rows[:, : take * k], power.swapaxes(1, 2), out=rows[:, span * k : (span + take) * k])
             if (span := span + take) < end:
                 power = power @ power
-        for k in range(span, len(steps)):
-            np.matmul(powers[gaps[k - 1]], propagated[k - 1], out=propagated[k])
-    finite = np.isfinite(propagated).reshape(len(steps), -1).all(axis=1)
+        for t in range(span, len(steps)):
+            np.matmul(propagated[:, t - 1], powers[gaps[t - 1]].swapaxes(1, 2), out=propagated[:, t])
+    finite = np.isfinite(propagated.view(float)).reshape(blocks, len(steps), -1)
     if not finite.all():
-        raise DivergenceError(steps[np.argmin(finite)] * dt)
+        raise DivergenceError(steps[np.argmin(finite.all(axis=(0, 2)))] * dt)
     if mirrored:
-        np.conjugate(samples[:, mirrored:0:-1], out=samples[:, len(state0) :])
-    return steps * dt, samples
+        np.conjugate(buffer[mirrored:0:-1], out=buffer[blocks:])
+    return steps * dt, np.moveaxis(buffer, 1, 0)
 
 
 def _propagate_blocks(
@@ -327,15 +330,13 @@ def _propagate_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """RK4 on grid (from _sample_steps) of the n blocks of the stack that blocks selects (all d by default) from field0.
 
-    field0 holds the prepared branch's slots, (n, d, k), or (d, k) for each
-    selected block.  Returns (times, samples) with samples of shape
-    (T, n + mirrored, 2d, k): the g and then the e slots of each block of
-    each sample, the selected ones and then _rk4_sampled's mirrors.
+    field0 holds the prepared branch's slots as rows, (n, k, d) or (k, d).  Returns (times, samples), samples
+    (T, n + mirrored, k, 2d): each row the g, then the e slots of one column, selected blocks, then mirrors.
     """
     offset = 0 if Preparation(prep) is Preparation.GROUND else d
     generator = build_block_generator(p, d, mode, blocks)
-    state0 = np.zeros((len(generator), 2 * d, field0.shape[-1]), dtype=complex)
-    state0[:, offset : offset + d] = field0
+    state0 = np.zeros((len(generator), field0.shape[-2], 2 * d), dtype=complex)
+    state0[..., offset : offset + d] = field0
     return _rk4_sampled(generator, state0, dt, grid, mirrored)
 
 
@@ -355,7 +356,8 @@ def integrate_instrument(
     """
     grid = _sample_steps(d, t_max, dt, stride)
     times, samples = _propagate_blocks(p, d, prep, np.eye(d), dt, grid, mode, slice(d // 2 + 1), (d - 1) // 2)
-    return InstrumentBranch(Preparation(prep), times, d, _positions(d), samples.reshape(len(times), -1), (d * d, d * d))
+    entries = samples.reshape(len(times), d, -1)  # a view: each block's (k, n) rows are contiguous
+    return InstrumentBranch(Preparation(prep), times, d, _positions(d), entries, (d * d, d * d))
 
 
 def conditional_trajectories(
@@ -390,6 +392,6 @@ def conditional_trajectories(
     i, j = _slots(d)
     live = np.flatnonzero(rho_f[i, j].any(axis=1))
     i = i[live]
-    times, samples = _propagate_blocks(p, d, prep, rho_f[i, j, None], dt, grid, mode, live)
-    positions = np.arange(2)[:, None] * d * d + (i * d + j)[:, None, :]  # (live, 2, d): g, then e slots
-    return InstrumentBranch(Preparation(prep), times, d, positions.ravel(), samples.reshape(len(times), -1), (d, d))
+    times, samples = _propagate_blocks(p, d, prep, rho_f[i, j][:, None], dt, grid, mode, live)
+    positions = np.hstack((i * d + j, d * d + i * d + j))  # (live, 2d): g, then e slots
+    return InstrumentBranch(Preparation(prep), times, d, positions, samples.reshape(len(times), len(live), -1), (d, d))

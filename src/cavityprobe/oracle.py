@@ -141,13 +141,14 @@ def extract_instrument_oracle(
     y, x = np.divmod(units, 2 * d)
     x[half:], y[half:] = y[d - half : 0 : -1], x[d - half : 0 : -1]  # class t > d // 2: class d - t transposed
     atom, field = x // d, x % d + d * (y % d)  # field: the vec position of the unit's field part
-    # Column k of block b starts at the block's k-th unit |a, m><a, n| of the
-    # prepared pointer a; the gg and ee units are rows atom d^2 + field of (M_g; M_e).
+    # Column k of block b, the kernel's row k, starts at the block's k-th unit |a, m><a, n| of
+    # the prepared pointer a; the gg and ee units are rows atom d^2 + field of (M_g; M_e).
     start = np.nonzero((atom == (prep is Preparation.EXCITED)) & (y // d == atom))
-    columns = np.zeros((d, 4 * d, d), dtype=complex)
-    columns[(*start, np.arange(d * d) % d)] = 1.0
+    columns = np.zeros((d, d, 4 * d), dtype=complex)
+    columns[start[0], np.arange(d * d) % d, start[1]] = 1.0
     frame_hamiltonian = joint_hamiltonian(p, d, 0.0) + p.delta * _joint(np.diag([0.0, 1.0]), np.eye(d))
     times, samples = _rk4_sampled(_liouvillian(p, d, frame_hamiltonian, units[:half]), columns[:half], dt, grid)
+    samples = samples.swapaxes(2, 3)  # (T, half, 4d, d): unit, then column
     traces = samples[:, (x == y)[:half]].sum(axis=1)
     drift = np.abs(traces - traces[0]).max(axis=1)
     bad = np.flatnonzero(drift > 1e-9)
@@ -178,10 +179,14 @@ def secular_residual(
     """
     oracle_branch = extract_instrument_oracle(p, d, prep, t_max, dt, stride)
     reduced = integrate_instrument(p, d, prep, t_max, dt, mode, stride)
-    positions = np.sort(np.concatenate((oracle_branch.positions, reduced.positions)))
+    positions = np.sort(np.concatenate((oracle_branch.positions.ravel(), reduced.positions.ravel())))
     positions = positions[np.diff(positions, prepend=-1) > 0]  # the union; np.union1d would import numpy.ma
-    gap = np.zeros((len(reduced.times), len(positions)), dtype=complex)
-    gap[:, np.searchsorted(positions, oracle_branch.positions)] = oracle_branch.entries
-    gap[:, np.searchsorted(positions, reduced.positions)] -= reduced.entries
-    gap, g = np.abs(gap), positions < d**4  # M_g's d^2 rows come first
-    return {"g": float(np.max(gap[:, g], initial=0.0)), "e": float(np.max(gap[:, ~g], initial=0.0))}
+    at_o, at_r = (np.searchsorted(positions, branch.positions.ravel()) for branch in (oracle_branch, reduced))
+    g, worst = np.searchsorted(positions, d**4), np.zeros(2)  # M_g's d^2 rows come first
+    chunk = max(1, 2**16 // len(positions))  # samples per pass, so that no temporary holds the whole run
+    for t in range(0, len(reduced.times), chunk):
+        gap = np.zeros((len(reduced.times[t : t + chunk]), len(positions)), dtype=complex)
+        gap[:, at_o] = oracle_branch.entries[t : t + chunk].reshape(len(gap), -1)
+        gap[:, at_r] -= reduced.entries[t : t + chunk].reshape(len(gap), -1)
+        worst = np.maximum(worst, [np.abs(gap[:, :g]).max(initial=0.0), np.abs(gap[:, g:]).max(initial=0.0)])
+    return {"g": float(worst[0]), "e": float(worst[1])}

@@ -52,7 +52,7 @@ def block_choi_certificate(branch) -> tuple[np.ndarray, np.ndarray]:
     only where m = k - i = l - j, so C splits into 2d - 1 blocks m of size
     d - |m|, whose rows and columns are min(i, k) and min(j, l).  The other
     entries a branch stores, the slots that link order b to order b - d in
-    each (d, 2d, d) block, are asserted to be exact zeros.  The deviation is
+    each coherence block, are asserted to be exact zeros.  The deviation is
     the largest |C - C^H| entry; the eigenvalues are those of (C + C^H)/2.
     """
     d, entries = branch.d, branch.entries

@@ -373,12 +373,12 @@ class TestSweep:
 
     # sha256 of each file that `sweep --preset strong --t-max 1.0` writes.
     STRONG_SWEEP_DIGESTS = {
-        "strong-fock-n1.csv": "6e5ce93c6ab9f779728a9ab2bd2cb9b42e9f7cc96e2a33fafec4e58d59f8826e",
-        "strong-fock-n3.csv": "a28464694fe968c86a697dddda7c9c0980d23e2be121126d1072bbc52113cf04",
-        "strong-fock-n5.csv": "84a02d3c2bd95b3b6a77a4935b3feac63fa323fb2b87e42a1252a3ec25e9f128",
-        "strong-mixed-d2.csv": "e912178761de3261bba9f1069998cf3f49141a108ab6cbfb9c857fd3ae83d072",
-        "strong-mixed-d4.csv": "ac154512435baa08f6c2714f3a0a909d517db52c44884baa0775e5aaa4dc5c50",
-        "strong-mixed-d6.csv": "c2e8412c148673182ebefdb2f89c9f507889f78d89553a60aebdb1f9c9b6e8f8",
+        "strong-fock-n1.csv": "b2d062080666ce220cee9c22c2ee44e31af53f0c9dacb7b25f9efd604773da9d",
+        "strong-fock-n3.csv": "74c45f6864e9f15b08465599b6517b54c49ea6317cb006ffc2684b6871219e58",
+        "strong-fock-n5.csv": "7d2e89fa45cf11119d36992082e580e07c574f2ae03d22599abaf25a312aaf8d",
+        "strong-mixed-d2.csv": "09607aabfbc413d771ef24b447ac2975e05b6dae1ea59ddecf0aa7a13b1c9723",
+        "strong-mixed-d4.csv": "634931324bcc252698bb3f9ee4c244a3a6b86b0b6a7f090588e66a4e95bfc4c5",
+        "strong-mixed-d6.csv": "d3286539bd47abeaeb90dea4645e359313b9c38ff6110baf4af83ea9b751447a",
         "strong-fock-n1.svg": "320a40d68897f54c2b7acc92baa35152b0468a69dfd533e5b301ca9e12d27b10",
         "strong-fock-n3.svg": "1fa4b2e70cae508ef3f767d574f53582a7faabd99a2c3392a6ab09585c10265a",
         "strong-fock-n5.svg": "563188aa125c062bb7441a15f37c5c546e511040af79f34468b08634d126c325",

@@ -95,3 +95,20 @@ def test_density_check_rejects_nan():
     # every comparison with NaN is false, so only an explicit finiteness check catches it
     with pytest.raises(InvalidStateError, match="non-finite"):
         check_density_matrix(np.array([[np.nan, 0.0], [0.0, np.nan]]))
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "dense"])
+def test_density_check_reads_the_same_spectrum_with_and_without_coherences(rotated):
+    """A diagonal matrix's spectrum is read from its diagonal, a dense one's from eigvalsh, with one threshold:
+    an eigenvalue at -2e-10 is refused and one at -5e-11 passes, whether or not the spectrum is rotated."""
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)) + 1j * np.random.default_rng(6).normal(size=(4, 4)))
+    for low, refused in ((-2e-10, True), (-5e-11, False)):
+        spectrum = np.array([low, 0.25, 0.35, 0.4 - low])
+        rho = q @ np.diag(spectrum) @ q.conj().T if rotated else np.diag(spectrum).astype(complex)
+        rho = 0.5 * (rho + rho.conj().T)
+        assert np.count_nonzero(rho - np.diag(rho.diagonal())) == (16 - 4 if rotated else 0)
+        if refused:
+            with pytest.raises(InvalidStateError, match=r"not positive semidefinite \(min eigenvalue -2.000e-10\)"):
+                check_density_matrix(rho)
+        else:
+            check_density_matrix(rho)

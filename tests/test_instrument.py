@@ -60,19 +60,21 @@ def total_probability(branch, rho):
 
 
 def kernel_input(p, d, state):
-    """(generator, state0) as the solvers hand them to the kernel, ground pointer: "maps" propagates the identity on
-    blocks 0 .. d // 2, "mixed" the maximally mixed state on block 0.  A generator without imaginary part comes real."""
-    blocks = slice(d // 2 + 1) if state == "maps" else [0]
+    """(generator, state0) as the solvers hand them to the kernel, ground pointer, state0 in the kernel's row form
+    (blocks, k, 2d): "maps" propagates the identity on blocks 0 .. d // 2, "mixed" the maximally mixed state on
+    block 0, and "coherent" the state np.full((d, d), 1 / d), which occupies all d blocks.  A generator without
+    imaginary part comes real."""
+    blocks = {"maps": slice(d // 2 + 1), "mixed": [0], "coherent": slice(None)}[state]
     matrix = build_block_generator(p, d, blocks=blocks)
     matrix = matrix if np.any(matrix.imag) else matrix.real
-    state0 = np.zeros((len(matrix), 2 * d, d if state == "maps" else 1), dtype=matrix.dtype)
-    state0[:, :d] = np.eye(d) if state == "maps" else 1.0 / d
+    state0 = np.zeros((len(matrix), d if state == "maps" else 1, 2 * d), dtype=matrix.dtype)
+    state0[..., :d] = np.eye(d) if state == "maps" else 1.0 / d
     return matrix, state0
 
 
 def sequential_rk4(matrix, state0, dt, grid):
     """The kernel as its docstring states it, one sample at a time: P = I + M (I + M (I + M (I + M/4)/3)/2) with
-    M = dt matrix, and each sample is P^gap times the one before.  Returns (times, samples)."""
+    M = dt matrix, and each sample is the rows of the one before times (P^gap)^T.  Returns (times, samples)."""
     m = dt * matrix
     eye = np.eye(m.shape[-1])
     steps = np.array([*grid, grid.stop])
@@ -81,13 +83,14 @@ def sequential_rk4(matrix, state0, dt, grid):
         step = eye + m @ (eye + m @ (eye + m @ (eye + m / 4) / 3) / 2)
         powers = {gap: np.linalg.matrix_power(step, gap) for gap in set(np.diff(steps))}
         for gap in np.diff(steps):
-            samples.append(powers[gap] @ samples[-1])
+            samples.append(samples[-1] @ powers[gap].swapaxes(-1, -2))
     return steps * dt, np.array(samples)
 
 
-def samples_by_doubling(matrix) -> bool:
-    """Whether the kernel fills this generator's samples by doubling: its squaring costs at most _DOUBLING_MADDS."""
-    return matrix.size * matrix.shape[-1] * (1 if np.isrealobj(matrix) else 4) <= instrument._DOUBLING_MADDS
+def samples_by_doubling(matrix, columns) -> bool:
+    """Whether the kernel fills this generator's samples by doubling: its squaring costs at most _DOUBLING_MADDS per
+    propagated column."""
+    return matrix.size * matrix.shape[-1] * (1 if np.isrealobj(matrix) else 4) <= instrument._DOUBLING_MADDS * columns
 
 
 class TestModelParams:
@@ -384,8 +387,8 @@ class TestIntegration:
             kernel_calls.clear()
             branch = conditional_trajectories(STRONG, d, Preparation.GROUND, rho, 0.1, 0.01)
             assert kernel_calls == [(len(live), dtype)]
-            assert branch.shape == (d, d) and branch.entries.shape == (len(branch.times), 2 * d * len(live))
-            expected = [o * d * d + (s + b) % d * d + s for b in live for o in (0, 1) for s in range(d)]
+            assert branch.shape == (d, d) and branch.entries.shape == (len(branch.times), len(live), 2 * d)
+            expected = [[o * d * d + (s + b) % d * d + s for o in (0, 1) for s in range(d)] for b in live]
             assert branch.positions.tolist() == expected
             times, y_g, y_e = branch
             assert y_g.dtype == y_e.dtype == np.complex128 and y_g.shape == (len(times), d, d)
@@ -395,7 +398,8 @@ class TestIntegration:
         kernel_calls.clear()
         branch = integrate_instrument(STRONG, d, Preparation.GROUND, 0.1, 0.01)
         assert kernel_calls == [(3, np.complex128)]
-        assert branch.shape == (d * d, d * d) and branch.entries.shape == (len(branch.times), 2 * d**3)
+        assert branch.shape == (d * d, d * d) and branch.entries.shape == (len(branch.times), d, 2 * d * d)
+        assert branch.positions.shape == (d, 2 * d * d)
         assert branch.m_g.dtype == branch.m_e.dtype == np.complex128
 
     def test_a_large_mixed_run_never_builds_the_dense_states(self):
@@ -438,13 +442,16 @@ class TestIntegration:
     @pytest.mark.parametrize("solve, bound", [
         (lambda: integrate_instrument(STRONG, 20, Preparation.GROUND, 10.0, 0.01, stride=10), 1.25),
         (lambda: extract_instrument_oracle(STRONG, 20, Preparation.GROUND, 10.0, 0.005, stride=20), 3.2),
-    ], ids=["reduced", "oracle"])
+        (lambda: integrate_instrument(STRONG, 10, Preparation.GROUND, 10.0, 0.01, stride=10), 1.25),
+    ], ids=["reduced", "oracle", "reduced-doubled"])
     def test_peak_allocation_stays_near_the_entries(self, solve, bound):
-        """The traced peak of one solver call at d = 20, as a multiple of the entries it returns.
+        """The traced peak of one solver call, as a multiple of the entries it returns.
 
-        The mirrored blocks are written in place into the one entries array;
-        a second samples-sized array would read about 2 for the maps.  The
-        oracle's grid is the one run --oracle uses at the default dt."""
+        The maps' entries are a view of the kernel's one sample buffer, into
+        which the mirrored blocks are written in place; a second
+        samples-sized array would read about 2.  The maps at d = 10 and 20
+        fill their samples by doubling.  The oracle's grid is the one
+        run --oracle uses at the default dt."""
         tracemalloc.start()
         try:
             branch = solve()
@@ -516,14 +523,15 @@ class TestIntegration:
             assert np.all(np.isfinite(run(0.9)))
 
     @pytest.mark.parametrize("d, state, doubled", [
-        (4, "maps", True), (10, "maps", True), (20, "mixed", True), (40, "mixed", False), (20, "maps", False),
+        (4, "maps", True), (10, "maps", True), (20, "mixed", True), (40, "mixed", False), (20, "maps", True),
+        (32, "maps", False), (6, "coherent", True),
     ])
     def test_kernel_matches_the_sequential_products(self, d, state, doubled):
         """Over 145 samples whose stride does not divide the run, the kernel gives P^gap applied sample by sample:
         to 1e-13 of the largest entry where squaring is cheap and it samples by doubling, and bit for bit past that
         size, where each sample is one product of the last."""
         matrix, state0 = kernel_input(STRONG, d, state)
-        assert samples_by_doubling(matrix) == doubled
+        assert samples_by_doubling(matrix, state0.shape[-2]) == doubled
         grid = range(0, 1003, 7)
         times, samples = instrument._rk4_sampled(matrix, state0, 0.01, grid)
         expected_times, expected = sequential_rk4(matrix, state0, 0.01, grid)
@@ -544,7 +552,7 @@ class TestIntegration:
                 unstable, d, Preparation.GROUND, maximally_mixed(d), 3.0, 0.01, stride=10)),
         ):
             matrix, state0 = kernel_input(unstable, d, state)
-            assert samples_by_doubling(matrix)
+            assert samples_by_doubling(matrix, state0.shape[-2])
             times, expected = sequential_rk4(matrix, state0, 0.01, grid)
             first = np.argmin(np.isfinite(expected).reshape(len(times), -1).all(axis=1))
             assert first > 0
@@ -558,12 +566,39 @@ class TestIntegration:
         would give nan; the kernel stops doubling there and takes the rest one product each, as the reference does."""
         p = ModelParams(omega=0.0, delta=0.0, gamma_big=1.5, gamma_ge=0.0, gamma_eg=3.0)
         matrix, state0 = kernel_input(p, 2, "mixed")
-        assert samples_by_doubling(matrix)
+        assert samples_by_doubling(matrix, state0.shape[-2])
         grid = range(0, 5000)
         _, samples = instrument._rk4_sampled(matrix, state0, 1.0, grid)
         assert np.array_equal(samples, sequential_rk4(matrix, state0, 1.0, grid)[1])
         _, y_g, y_e = conditional_trajectories(p, 2, Preparation.GROUND, maximally_mixed(2), 5000.0, 1.0)
         assert np.all(y_g == maximally_mixed(2)) and np.all(y_e == 0.0)
+
+    def test_a_squared_power_that_overflows_ends_the_doubling_of_the_maps(self):
+        """The stop above on the d = 2 maps, two blocks of two columns each, bit for bit the sequential products."""
+        p = ModelParams(omega=0.0, delta=0.0, gamma_big=1.5, gamma_ge=0.0, gamma_eg=3.0)
+        matrix, state0 = kernel_input(p, 2, "maps")
+        assert samples_by_doubling(matrix, 2) and state0.shape == (2, 2, 4)
+        grid = range(0, 5000)
+        _, samples = instrument._rk4_sampled(matrix, state0, 1.0, grid)
+        expected = sequential_rk4(matrix, state0, 1.0, grid)[1]
+        assert np.array_equal(samples, expected) and np.all(expected[:, :, :, :2] == np.eye(2))
+
+    @pytest.mark.parametrize("d, k, doubled", [(4, 4, True), (40, 3, False)])
+    def test_a_bare_matrix_is_a_stack_of_one_block(self, d, k, doubled):
+        """A bare (n, n) matrix, the maps' complex block 1, with the k columns of an (n, k) state, given as their (k, n)
+        transpose: the samples are (T, k, n), those of the sequential products to 1e-13 where the kernel doubles
+        and bit for bit past it."""
+        matrix, state0 = kernel_input(STRONG, d, "maps")
+        matrix, columns = matrix[1], np.ascontiguousarray(state0[1, :k].T)
+        assert samples_by_doubling(matrix, k) == doubled and columns.shape == (2 * d, k)
+        grid = range(0, 1003, 7)
+        times, samples = instrument._rk4_sampled(matrix, columns.T, 0.01, grid)
+        expected_times, expected = sequential_rk4(matrix, columns.T, 0.01, grid)
+        assert np.array_equal(times, expected_times) and samples.shape == expected.shape == (len(times), k, 2 * d)
+        if doubled:
+            assert np.max(np.abs(samples - expected)) <= 1e-13 * np.max(np.abs(expected))
+        else:
+            assert np.array_equal(samples, expected)
 
     def test_unoccupied_blocks_never_diverge(self):
         """A block the state leaves at zero is not propagated, so its own instability raises nothing."""

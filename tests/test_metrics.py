@@ -187,7 +187,7 @@ class TestMetricsSeries:
             metrics_series(state_branch(times, y_g, y_e), maximally_mixed(3))
         y_e[-1] += 1e-6j * np.eye(2)
         shifted = branch.entries + 0j
-        shifted[-1, 2:] += 1e-6j  # the e slots of block 0, the diagonal
+        shifted[-1, 0, 2:] += 1e-6j  # the e slots of block 0, the diagonal
         for imaginary in (state_branch(times, y_g, y_e), replace(branch, entries=shifted)):
             with pytest.raises(PositivityError, match="imaginary part"):
                 metrics_series(imaginary, rho)
@@ -278,7 +278,7 @@ class TestMetricsSeries:
         """The path follows the positions, not the values: diagonal slots take the diagonal path unless rho_f has a
         coherence, and a branch that holds the off-diagonal slots takes the dense path even where they are 0."""
         branch = conditional_trajectories(STRONG, 3, Preparation.GROUND, maximally_mixed(3), 1.0, 0.01, stride=50)
-        assert np.array_equal(branch.positions, [0, 4, 8, 9, 13, 17])  # o d^2 + i d + i, g then e
+        assert np.array_equal(branch.positions, [[0, 4, 8, 9, 13, 17]])  # block 0: o d^2 + i d + i, g then e
         coherent = maximally_mixed(3) + 0.1 * (np.eye(3, k=1) + np.eye(3, k=-1))
         decomposed, with_vectors = self.count_decompositions(monkeypatch)
         for states, rho, dense in ((branch, coherent, True), (state_branch(*branch), maximally_mixed(3), True),
@@ -293,7 +293,7 @@ class TestMetricsSeries:
         (d >= 8 sums pairwise).  The run is real, so a float64 sum would round differently."""
         rho = maximally_mixed(20)
         branch = conditional_trajectories(STRONG, 20, Preparation.EXCITED, rho, 2.0, 0.01, stride=20)
-        assert branch.entries.shape == (len(branch.times), 40) and branch.entries.dtype == np.float64
+        assert branch.entries.shape == (len(branch.times), 1, 40) and branch.entries.dtype == np.float64
         records = metrics_series(branch, rho)
         assert "dense" not in vars(branch)
         assert [rec.p_g for rec in records] == np.trace(branch.m_g, axis1=1, axis2=2).real.tolist()

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -167,9 +168,9 @@ def test_frame_generator_class_d_minus_t_is_the_transposed_conjugate_of_class_t(
 
 
 def by_position(positions, entries):
-    """A branch's positions in increasing order, with its entries in that order."""
-    order = np.argsort(positions)
-    return positions[order], entries[:, order]
+    """A branch's positions, raveled, in increasing order, with its entries in that order."""
+    order = np.argsort(positions, axis=None)
+    return positions.ravel()[order], entries.reshape(len(entries), -1)[:, order]
 
 
 def full_reduced_maps(p, d, prep, mode, dt, grid):
@@ -177,7 +178,7 @@ def full_reduced_maps(p, d, prep, mode, dt, grid):
     times, samples = _propagate_blocks(p, d, prep, np.eye(d), dt, grid, mode, slice(None))
     i, j = _slots(d)
     position = i + d * j
-    positions = np.hstack((position, d * d + position))[:, :, None] * (d * d) + position[:, None, :]
+    positions = np.hstack((position, d * d + position))[:, None, :] * (d * d) + position[:, :, None]
     return positions.ravel(), samples.reshape(len(times), -1)
 
 
@@ -189,7 +190,8 @@ def full_oracle_maps(p, d, prep, dt, grid):
     start = np.nonzero((atom == (prep is Preparation.EXCITED)) & (y // d == atom))
     columns = np.zeros((d, 4 * d, d), dtype=complex)
     columns[(*start, np.arange(d * d) % d)] = 1.0
-    times, samples = _rk4_sampled(_liouvillian(p, d, frame_hamiltonian(p, d), units), columns, dt, grid)
+    times, samples = _rk4_sampled(_liouvillian(p, d, frame_hamiltonian(p, d), units), columns.swapaxes(1, 2), dt, grid)
+    samples = samples.swapaxes(2, 3)
     read = np.nonzero(y // d == atom)
     positions = (atom * d * d + field)[read][:, None] * (d * d) + field[start].reshape(d, d)[read[0]]
     return positions.ravel(), samples[:, read[0], read[1]].reshape(len(times), -1)
@@ -224,7 +226,8 @@ def dense_oracle(p, d, prep, t_max, dt, stride):
     columns = np.zeros((4 * d * d, d * d), dtype=complex)
     columns[g_rows if prep is Preparation.GROUND else e_rows, np.arange(d * d)] = 1.0
     grid = _sample_steps(d, t_max, dt, stride)
-    times, samples = _rk4_sampled(textbook_liouvillian(p, d, frame_hamiltonian(p, d)), columns, dt, grid)
+    times, samples = _rk4_sampled(textbook_liouvillian(p, d, frame_hamiltonian(p, d)), columns.T, dt, grid)
+    samples = samples.swapaxes(1, 2)
     return times, samples[:, g_rows], samples[:, e_rows]
 
 
@@ -467,6 +470,32 @@ def test_residual_compares_an_entry_one_branch_holds_against_zero(monkeypatch, j
     one_side = np.setxor1d(joint_held, reduced_held)
     assert residual["g"] == pytest.approx(2 * (one_side[one_side < 16].max() + 1))
     assert residual["e"] == pytest.approx(2 * (one_side.max() + 1) if one_side.max() >= 16 else 0.0)
+
+
+def test_residual_is_the_gap_of_all_samples_at_once(monkeypatch):
+    """Taken a few samples per pass, the residual is bit for bit the largest entry of one (T, union) gap array.
+
+    At d = 12 the union holds 3,456 positions, so the 41 samples take three
+    passes.  The oracle branch drops the positions of the reduced branch's
+    block 1, and the reduced branch its block 0, so each holds entries that
+    the other lacks."""
+    d = 12
+    joint = extract_instrument_oracle(STRONG, d, Preparation.GROUND, 0.2, 0.005)
+    reduced = integrate_instrument(STRONG, d, Preparation.GROUND, 0.2, 0.005)
+    keep = ~np.isin(joint.positions, reduced.positions[1])
+    joint = replace(joint, positions=joint.positions[keep], entries=joint.entries[:, keep])
+    reduced = replace(reduced, positions=reduced.positions[1:], entries=reduced.entries[:, 1:])
+    monkeypatch.setattr("cavityprobe.oracle.extract_instrument_oracle", lambda *args: joint)
+    monkeypatch.setattr("cavityprobe.oracle.integrate_instrument", lambda *args: reduced)
+    positions = np.union1d(joint.positions, reduced.positions)
+    assert len(reduced.times) == 41 and 3 * (2**16 // len(positions)) >= 41 > 2 * (2**16 // len(positions))
+    gap = np.zeros((len(reduced.times), len(positions)), dtype=complex)
+    gap[:, np.searchsorted(positions, joint.positions)] = joint.entries
+    gap[:, np.searchsorted(positions, reduced.positions.ravel())] -= reduced.entries.reshape(len(gap), -1)
+    gap, g = np.abs(gap), positions < d**4
+    assert np.setdiff1d(joint.positions, reduced.positions).size and np.setdiff1d(reduced.positions, joint.positions).size
+    assert secular_residual(STRONG, d, Preparation.GROUND, 0.2, 0.005) == {
+        "g": float(np.max(gap[:, g], initial=0.0)), "e": float(np.max(gap[:, ~g], initial=0.0))}
 
 
 def test_residual_builds_no_dense_map(monkeypatch):
