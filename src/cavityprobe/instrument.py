@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -175,12 +175,26 @@ class InstrumentBranch:
         return dense
 
 
+def _cached(build):
+    """build, cached for its latest arguments alone (a sweep over d holds one layout), with its arrays read-only."""
+    @lru_cache(maxsize=1)
+    @wraps(build)
+    def frozen(*args):
+        value = build(*args)
+        for array in value if isinstance(value, tuple) else (value,):
+            array.flags.writeable = False
+        return value
+    return frozen
+
+
+@_cached
 def _slots(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The slot rule as (i, j), i[b, j] = (j + b) mod d and j = arange(d): X[i, j][b, j] is slot j of block b."""
     j = np.arange(d)
     return (j + j[:, None]) % d, j
 
 
+@_cached
 def _positions(d: int) -> np.ndarray:
     """Flat positions in (M_g; M_e) of the maps' entries, (d, 2 d^2): block by block, column by column, the g and
     then the e slots of each column."""
@@ -188,6 +202,11 @@ def _positions(d: int) -> np.ndarray:
     position = i + d * j
     position[d // 2 + 1 :] = (j + d * i)[(d - 1) // 2 : 0 : -1]  # block t > d // 2: X_ji for block d - t's X_ij
     return (np.hstack((position, d * d + position))[:, None, :] * (d * d) + position[:, :, None]).reshape(d, -1)
+
+
+@_cached
+def _diagonals(d: int, mode: TruncationMode) -> tuple[np.ndarray, np.ndarray]:
+    return tuple(op.diagonal().copy() for op in quadratic_ops(d, mode))  # a+a and a a+, as realized per mode
 
 
 def build_block_generator(
@@ -210,7 +229,9 @@ def build_block_generator(
     (see _slots) of the g branch, and d + j is the same slot of the e
     branch.  Only the blocks that `blocks` indexes along the first axis are built.
     """
-    n, aad = (op.diagonal() for op in quadratic_ops(d, mode))
+    _check_dimension(d)
+    d = int(d)
+    n, aad = _diagonals(d, TruncationMode(mode))
     i, j = _slots(d)
     i = i[blocks]
     # a+a and a a+ are diagonal, so G_gg and G_ee only scale each X_ij: by
@@ -287,8 +308,10 @@ def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, dt: float, grid: range,
         times, samples = _rk4_sampled(matrix[None], state0[None], dt, grid)
         return times, samples[:, 0]
     dt = float(dt)  # numpy cannot convert an integer dt beyond int64
-    steps = np.array([*grid, grid.stop])
-    gaps = np.diff(steps)
+    last = grid.stop - grid[-1]
+    first = grid.step if len(grid) > 1 else last  # every gap but the last is grid.step
+    steps = grid.start + first * np.arange(len(grid) + 1)
+    steps[-1] = grid.stop
     real = not (np.any(matrix.imag) or np.any(state0.imag))
     m = dt * (matrix.real if real else matrix)
     blocks, k, n = state0.shape
@@ -299,22 +322,24 @@ def _rk4_sampled(matrix: np.ndarray, state0: np.ndarray, dt: float, grid: range,
     propagated[:, 0] = state0.real if real else state0
     with np.errstate(over="ignore", invalid="ignore"):
         step = eye + m @ (eye + m @ (eye + m @ (eye + m / 4) / 3) / 2)
-        powers = {gap: np.linalg.matrix_power(step, gap) for gap in {gaps[0], gaps[-1]}}
-        power, span = powers[gaps[0]], 1
-        end = len(gaps) if m.size * n * (1 if real else 4) <= _DOUBLING_MADDS * k else 1
+        powers = {gap: np.linalg.matrix_power(step, gap) for gap in {first, last}}
+        power, span = powers[first], 1
+        end = len(grid) if m.size * n * (1 if real else 4) <= _DOUBLING_MADDS * k else 1
         while span < end and np.isfinite(power).all():  # P^(gap span) takes samples :span to span:2 span
             take = min(span, end - span)
             np.matmul(rows[:, : take * k], power.swapaxes(1, 2), out=rows[:, span * k : (span + take) * k])
             if (span := span + take) < end:
                 power = power @ power
         for t in range(span, len(steps)):
-            np.matmul(propagated[:, t - 1], powers[gaps[t - 1]].swapaxes(1, 2), out=propagated[:, t])
-    finite = np.isfinite(propagated.view(float)).reshape(blocks, len(steps), -1)
-    if not finite.all():
-        raise DivergenceError(steps[np.argmin(finite.all(axis=(0, 2)))] * dt)
+            power = powers[first if t < len(grid) else last]
+            np.matmul(propagated[:, t - 1], power.swapaxes(1, 2), out=propagated[:, t])
+        if not np.isfinite(propagated.view(float).sum()):  # no temporary; NaN, inf or an overflow scan the samples
+            finite = np.isfinite(propagated.view(float)).reshape(blocks, len(steps), -1).all(axis=(0, 2))
+            if not finite.all():
+                raise DivergenceError(steps[np.argmin(finite)] * dt)
     if mirrored:
         np.conjugate(buffer[mirrored:0:-1], out=buffer[blocks:])
-    return steps * dt, np.moveaxis(buffer, 1, 0)
+    return steps * dt, buffer.swapaxes(0, 1)
 
 
 def _propagate_blocks(
@@ -357,7 +382,7 @@ def integrate_instrument(
     grid = _sample_steps(d, t_max, dt, stride)
     times, samples = _propagate_blocks(p, d, prep, np.eye(d), dt, grid, mode, slice(d // 2 + 1), (d - 1) // 2)
     entries = samples.reshape(len(times), d, -1)  # a view: each block's (k, n) rows are contiguous
-    return InstrumentBranch(Preparation(prep), times, d, _positions(d), entries, (d * d, d * d))
+    return InstrumentBranch(Preparation(prep), times, d, _positions(int(d)), entries, (d * d, d * d))
 
 
 def conditional_trajectories(
@@ -389,7 +414,7 @@ def conditional_trajectories(
     if rho_f.shape != (d, d):
         raise ValueError(f"initial state shape {rho_f.shape} does not match d={d}")
     check_density_matrix(rho_f)
-    i, j = _slots(d)
+    i, j = _slots(int(d))
     live = np.flatnonzero(rho_f[i, j].any(axis=1))
     i = i[live]
     times, samples = _propagate_blocks(p, d, prep, rho_f[i, j][:, None], dt, grid, mode, live)

@@ -36,12 +36,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import TruncationMode, annihilation_op
+from .fock import TruncationMode, _check_dimension, annihilation_op
 from .instrument import (
     DivergenceError,
     InstrumentBranch,
     ModelParams,
     Preparation,
+    _cached,
     _rk4_sampled,
     _sample_steps,
     integrate_instrument,
@@ -71,41 +72,66 @@ def _pure_dephasing_rate(p: ModelParams) -> float:
     return p.gamma_big - 0.5 * (p.gamma_ge + p.gamma_eg)
 
 
+@_cached
+def _operators(d: int) -> tuple[np.ndarray, ...]:
+    """The joint bases sigma+ (x) a, |e><e| (x) 1, sigma- (x) 1, sigma+ (x) 1 and sigma_z (x) 1 that rates scale."""
+    eye_f = np.eye(d, dtype=complex)
+    return (_joint(_SIGMA_PLUS, annihilation_op(d)), _joint(np.diag([0.0, 1.0]), np.eye(d)),
+            *(_joint(atom, eye_f) for atom in (_SIGMA_MINUS, _SIGMA_PLUS, _SIGMA_Z)))
+
+
 def joint_hamiltonian(p: ModelParams, d: int, t: float) -> np.ndarray:
     """Exchange Hamiltonian sigma+ a e^{i delta t} + h.c. on atom (x) field."""
-    a = annihilation_op(d)
-    coupling = p.omega * _joint(_SIGMA_PLUS, a)
+    _check_dimension(d)
+    coupling = p.omega * _operators(int(d))[0]
     return coupling * np.exp(1j * p.delta * t) + coupling.conj().T * np.exp(-1j * p.delta * t)
 
 
 def _jump_ops(p: ModelParams, d: int) -> list[tuple[np.ndarray, float]]:
-    eye_f = np.eye(d, dtype=complex)
-    jumps = [
-        (_joint(_SIGMA_MINUS, eye_f), p.gamma_eg),
-        (_joint(_SIGMA_PLUS, eye_f), p.gamma_ge),
-        (_joint(_SIGMA_Z, eye_f), 0.5 * _pure_dephasing_rate(p)),
-    ]
+    lower, lift, dephase = _operators(d)[2:]
+    jumps = [(lower, p.gamma_eg), (lift, p.gamma_ge), (dephase, 0.5 * _pure_dephasing_rate(p))]
     return [(op, rate) for op, rate in jumps if rate > 0.0]
 
 
 def joint_liouvillian(p: ModelParams, d: int, t: float) -> np.ndarray:
     """Superoperator matrix of the joint generator at time t (dimension (2d)^2)."""
-    return _liouvillian(p, d, joint_hamiltonian(p, d, t), np.arange(4 * d * d))
+    h = joint_hamiltonian(p, d, t)
+    return _liouvillian(p, int(d), h, np.arange(4 * d * d))
 
 
+@_cached
 def _units(d: int) -> np.ndarray:
     """The vec positions x + 2d y of the joint units |x><y| as (d, 4d): row b holds, in vec order, those with q = b mod d."""
     a = annihilation_op(d)
-    charge = np.diagonal(_joint(_SIGMA_PLUS @ _SIGMA_MINUS, np.eye(d)) + _joint(np.eye(2), a.conj().T @ a)).real.round()
+    charge = np.diagonal(_operators(d)[1] + _joint(np.eye(2), a.conj().T @ a)).real.round()
     y, x = np.divmod(np.arange(4 * d * d), 2 * d)
     return np.argsort((charge[x] - charge[y]) % d, kind="stable").reshape(d, 4 * d)
+
+
+@_cached
+def _plan(d: int, prep: Preparation) -> tuple[np.ndarray, ...]:
+    """The extraction's tables that no rate changes: the start columns of classes 0 .. d // 2, the mask of their
+    traced units, the index in each class of its gg and ee units, and the branch's positions."""
+    half = d // 2 + 1
+    y, x = np.divmod(_units(d), 2 * d)
+    x[half:], y[half:] = y[d - half : 0 : -1], x[d - half : 0 : -1]  # class t > d // 2: class d - t transposed
+    atom, field = x // d, x % d + d * (y % d)  # field: the vec position of the unit's field part
+    # Column k of block b, the kernel's row k, starts at the block's k-th unit |a, m><a, n| of
+    # the prepared pointer a; the gg and ee units are rows atom d^2 + field of (M_g; M_e).
+    start = np.nonzero((atom == (prep is Preparation.EXCITED)) & (y // d == atom))
+    columns = np.zeros((d, d, 4 * d), dtype=complex)
+    columns[start[0], np.arange(d * d) % d, start[1]] = 1.0
+    read = np.nonzero(y // d == atom)
+    positions = (atom * d * d + field)[read][:, None] * (d * d) + field[start].reshape(d, d)[read[0]]
+    return columns[:half], (x == y)[:half], read[1].reshape(d, 2 * d)[:half], positions.ravel()
 
 
 def _liouvillian(p: ModelParams, d: int, h: np.ndarray, units: np.ndarray) -> np.ndarray:
     """The joint generator with Hamiltonian h, built through K as stated above, on the units at the (..., n) vec positions."""
     y, x = np.divmod(units, 2 * d)
+    rows, cols = x[..., :, None] * (2 * d) + x[..., None, :], y[..., None, :] * (2 * d) + y[..., :, None]
     def sandwich(a, b):  # entries of X -> A X B between the units |x><y|: [..., r, c] = A[x_r, x_c] B[y_c, y_r]
-        return a[x[..., :, None], x[..., None, :]] * b[y[..., None, :], y[..., :, None]]
+        return a.ravel()[rows] * b.ravel()[cols]
     eye = np.eye(2 * d, dtype=complex)
     jumps = _jump_ops(p, d)
     k = -1j * h - 0.5 * sum(rate * op.conj().T @ op for op, rate in jumps)
@@ -133,33 +159,24 @@ def extract_instrument_oracle(
     more than 1e-9.
     """
     grid = _sample_steps(d, t_max, dt, stride)
-    prep = Preparation(prep)
+    d, prep = int(d), Preparation(prep)
     limit = dt_limit(p)
     if dt > limit * (1 + 1e-12):
         raise ValueError(f"dt={dt} too coarse for these rates; need dt <= {limit:.6g}")
-    half, units = d // 2 + 1, _units(d)
-    y, x = np.divmod(units, 2 * d)
-    x[half:], y[half:] = y[d - half : 0 : -1], x[d - half : 0 : -1]  # class t > d // 2: class d - t transposed
-    atom, field = x // d, x % d + d * (y % d)  # field: the vec position of the unit's field part
-    # Column k of block b, the kernel's row k, starts at the block's k-th unit |a, m><a, n| of
-    # the prepared pointer a; the gg and ee units are rows atom d^2 + field of (M_g; M_e).
-    start = np.nonzero((atom == (prep is Preparation.EXCITED)) & (y // d == atom))
-    columns = np.zeros((d, d, 4 * d), dtype=complex)
-    columns[start[0], np.arange(d * d) % d, start[1]] = 1.0
-    frame_hamiltonian = joint_hamiltonian(p, d, 0.0) + p.delta * _joint(np.diag([0.0, 1.0]), np.eye(d))
-    times, samples = _rk4_sampled(_liouvillian(p, d, frame_hamiltonian, units[:half]), columns[:half], dt, grid)
+    half = d // 2 + 1
+    columns, traced, read, positions = _plan(d, prep)
+    frame_hamiltonian = joint_hamiltonian(p, d, 0.0) + p.delta * _operators(d)[1]
+    times, samples = _rk4_sampled(_liouvillian(p, d, frame_hamiltonian, _units(d)[:half]), columns, dt, grid)
     samples = samples.swapaxes(2, 3)  # (T, half, 4d, d): unit, then column
-    traces = samples[:, (x == y)[:half]].sum(axis=1)
+    traces = samples[:, traced].sum(axis=1)
     drift = np.abs(traces - traces[0]).max(axis=1)
     bad = np.flatnonzero(drift > 1e-9)
     if bad.size:
         raise DivergenceError(times[bad[0]], f"trace drifted by {drift[bad[0]]:.3e}")
-    read = np.nonzero(y // d == atom)
     entries = np.empty((len(times), d, 2 * d, d), dtype=complex)
-    entries[:, :half] = samples[:, np.arange(half)[:, None], read[1].reshape(d, 2 * d)[:half]]
+    entries[:, :half] = samples[:, np.arange(half)[:, None], read]
     np.conjugate(entries[:, d - half : 0 : -1], out=entries[:, half:])
-    positions = (atom * d * d + field)[read][:, None] * (d * d) + field[start].reshape(d, d)[read[0]]
-    return InstrumentBranch(prep, times, d, positions.ravel(), entries.reshape(len(times), -1), (d * d, d * d))
+    return InstrumentBranch(prep, times, d, positions, entries.reshape(len(times), -1), (d * d, d * d))
 
 
 def secular_residual(

@@ -560,6 +560,12 @@ class TestIntegration:
                 run()
             assert err.value.t == times[first]
 
+    def test_a_finite_run_whose_sum_overflows_does_not_raise(self):
+        """The kernel first sums the whole run; a sum that overflows from finite samples is scanned, and passes."""
+        state0 = np.full((1, 2), 1e308)
+        times, samples = instrument._rk4_sampled(np.zeros((2, 2)), state0, 0.5, range(0, 4))
+        assert np.array_equal(times, [0.0, 0.5, 1.0, 1.5, 2.0]) and np.all(samples == 1e308)
+
     def test_a_squared_power_that_overflows_ends_the_doubling(self):
         """The e branch here is past RK4's limit (dt gamma_eg = 3), but a ground pointer never enters it, so the
         sequential run stays finite.  From t = 4096 a squared power holds inf, which on the branch's exact zeros

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
+from cavityprobe import instrument, oracle
 from cavityprobe.fock import TruncationMode, fock_state, maximally_mixed
 from cavityprobe.cli import PRESETS
 from cavityprobe.instrument import (
@@ -16,6 +17,7 @@ from cavityprobe.instrument import (
     _rk4_sampled,
     _sample_steps,
     _slots,
+    conditional_trajectories,
     integrate_instrument,
 )
 from cavityprobe.oracle import (
@@ -216,6 +218,45 @@ def test_mirrored_entries_match_the_propagation_of_every_block(d, prep, mode, om
         expected_held, expected = by_position(positions, entries)
         assert np.array_equal(held, expected_held)
         assert np.max(np.abs(halved - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("order", [tuple(Preparation), tuple(Preparation)[::-1]], ids=["ground-first", "excited-first"])
+def test_back_to_back_preparations_each_read_their_own_tables(order):
+    """The extraction's cached tables depend on the preparation: run back to back at one d, in either order,
+    each preparation's branch holds the positions of an independently built reading, and its entries to 1e-13."""
+    d, dt = 4, dt_limit(STRONG)
+    grid = _sample_steps(d, 40 * dt, dt, 10)
+    for prep in order:
+        branch = extract_instrument_oracle(STRONG, d, prep, 40 * dt, dt, 10)
+        held, entries = by_position(branch.positions, branch.entries)
+        expected_held, expected = by_position(*full_oracle_maps(STRONG, d, prep, dt, grid))
+        assert np.array_equal(held, expected_held)
+        assert np.max(np.abs(entries - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: integrate_instrument(STRONG, 3, Preparation.GROUND, 0.05, 0.005),
+    lambda: extract_instrument_oracle(STRONG, 3, Preparation.GROUND, 0.05, 0.005),
+], ids=["reduced", "oracle"])
+def test_a_branch_shares_read_only_positions(solve):
+    """Both solvers hand out their cached positions: a write into them raises, so the next call's stay intact."""
+    branch = solve()
+    with pytest.raises(ValueError, match="read-only"):
+        branch.positions[0] = 0
+    assert np.array_equal(solve().positions, branch.positions)
+
+
+def test_the_layout_caches_hold_one_d():
+    """After a sweep over d, every per-d cache holds the tables of the last d alone."""
+    for d in range(1, 9):
+        rho = maximally_mixed(d)
+        for mode in TruncationMode:
+            conditional_trajectories(STRONG, d, Preparation.GROUND, rho, 0.01, 0.005, mode)
+        secular_residual(STRONG, d, Preparation.EXCITED, 0.01, 0.005)
+        joint_liouvillian(STRONG, d, 0.0)
+    caches = (instrument._slots, instrument._positions, instrument._diagonals,
+              oracle._operators, oracle._units, oracle._plan)
+    assert [cache.cache_info().currsize for cache in caches] == [1] * len(caches)
 
 
 def dense_oracle(p, d, prep, t_max, dt, stride):
